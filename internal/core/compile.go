@@ -276,9 +276,9 @@ type Chaser struct {
 	// either way — only the counters and the work done move.
 	noPrefilter bool
 
-	// keyBuf is the probe key-encode scratch; dict is the bound
-	// store's interning dictionary (probe keys are sym-encoded).
-	keyBuf []byte
+	// rhsBuf receives a rule-index probe's RHS cells; dict is the
+	// bound store's interning dictionary (the prefilter's miss test).
+	rhsBuf value.List
 	dict   *value.Dict
 
 	// ChaseScratch's reusable result (tuple values, change/conflict
@@ -622,18 +622,21 @@ func (c *Chaser) evaluate(ri, round int, res *ChaseResult) bool {
 }
 
 // lookup performs the rule's unique-RHS probe. On the rule-index
-// access path the key sym-encodes into the Chaser's scratch buffer —
-// one lock-free dictionary hit per match attribute — and the
-// pre-resolved handle answers in O(1) with no allocation. A probe
-// value the dictionary has never seen short-circuits to NoMatch for
-// registered pairs (no master tuple carries it); other modes and
-// unregistered ad-hoc pairs take the store's general path,
-// byte-identical to the legacy engine's.
+// access path the pre-resolved handle answers in O(1) with no
+// allocation: one lock-free dictionary hit per match attribute, one
+// slot probe, and the witness row's RHS cells read into the Chaser's
+// scratch (valid until the next probe). A probe value the dictionary
+// has never seen short-circuits to NoMatch for registered pairs (no
+// master tuple carries it); other modes and unregistered ad-hoc pairs
+// take the store's general path, byte-identical to the legacy
+// engine's.
 func (c *Chaser) lookup(ri int, cr *compiledRule, t *schema.Tuple) (value.List, int64, master.LookupStatus) {
 	if c.eng.store.Mode() == master.ModeRuleIndex {
-		var encoded bool
-		c.keyBuf, encoded = master.AppendProbeKey(c.dict, c.keyBuf[:0], t, cr.matchInputPos)
-		if rhs, witness, status, ok := c.handles[ri].Lookup(c.keyBuf, encoded); ok {
+		rhs, witness, status, ok := c.handles[ri].Lookup(t, cr.matchInputPos, c.rhsBuf[:0])
+		if ok {
+			if rhs != nil {
+				c.rhsBuf = rhs
+			}
 			return rhs, witness, status
 		}
 	}

@@ -464,20 +464,27 @@ func RunE4Hosp(noiseRates []float64, nProviders, nInputs int, seed uint64) ([]E4
 
 // E5MasterRow is one master-size measurement across the three lookup
 // access paths (the master manager's ablation): the precomputed
-// unique-RHS rule index (O(1) per probe), the plain hash index
-// (O(|key group|) — non-key attributes like the demo's area code grow
-// linearly with master size), and full scans (O(|master|)).
+// unique-RHS answer per key (O(1) per probe), the walk of the key's
+// group (O(|key group|) — non-key attributes like the demo's area code
+// grow linearly with master size), and full scans (O(|master|)).
 type E5MasterRow struct {
 	MasterSize int
-	// RuleIdxNsPerFix, PlainIdxNsPerFix and ScanNsPerFix are mean wall
-	// times per non-interactive certain-fix pass.
+	// RuleIdxNsPerFix, PlainIdxNsPerFix and ScanNsPerFix are wall times
+	// per non-interactive certain-fix pass, each the best of e5Passes
+	// interleaved passes over the inputs.
 	RuleIdxNsPerFix, PlainIdxNsPerFix, ScanNsPerFix float64
 	// ScanMeasured reports whether the scan ablation ran at this size
 	// (it is skipped at large sizes to keep runs bounded).
 	ScanMeasured bool
 }
 
+// e5Passes is RunE5Master's best-of-N pass count per access path.
+const e5Passes = 5
+
 // RunE5Master measures fix latency vs master size across access paths.
+// The paths are timed in interleaved passes, best of e5Passes each, as
+// e13 does: the minimum is robust to GC pauses, and interleaving keeps
+// machine drift from loading one path of the comparison.
 func RunE5Master(sizes []int, nInputs int, scanLimit int, seed uint64) ([]E5MasterRow, error) {
 	var rows []E5MasterRow
 	for _, size := range sizes {
@@ -491,15 +498,20 @@ func RunE5Master(sizes []int, nInputs int, scanLimit int, seed uint64) ([]E5Mast
 			return nil, err
 		}
 		seedSet := schema.SetOfNames(dataset.CustSchema(), "zip", "phn", "type", "item")
-		row := E5MasterRow{MasterSize: size}
-		w.Store.SetMode(master.ModeRuleIndex)
-		row.RuleIdxNsPerFix = timeFixes(eng, w.Dirty, seedSet)
-		w.Store.SetMode(master.ModePlainIndex)
-		row.PlainIdxNsPerFix = timeFixes(eng, w.Dirty, seedSet)
-		if size <= scanLimit {
-			w.Store.SetMode(master.ModeScan)
-			row.ScanNsPerFix = timeFixes(eng, w.Dirty, seedSet)
-			row.ScanMeasured = true
+		row := E5MasterRow{MasterSize: size, ScanMeasured: size <= scanLimit}
+		modes := []master.LookupMode{master.ModeRuleIndex, master.ModePlainIndex, master.ModeScan}
+		best := []*float64{&row.RuleIdxNsPerFix, &row.PlainIdxNsPerFix, &row.ScanNsPerFix}
+		if !row.ScanMeasured {
+			modes = modes[:2]
+		}
+		for p := 0; p < e5Passes; p++ {
+			for i, mode := range modes {
+				w.Store.SetMode(mode)
+				runtime.GC()
+				if ns := timeFixes(eng, w.Dirty, seedSet); p == 0 || ns < *best[i] {
+					*best[i] = ns
+				}
+			}
 		}
 		w.Store.SetMode(master.ModeRuleIndex)
 		rows = append(rows, row)

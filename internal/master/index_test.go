@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"cerfix/internal/rule"
+	"cerfix/internal/schema"
 	"cerfix/internal/value"
 )
 
@@ -158,20 +160,14 @@ func TestRegisteredRuleIndexesSorted(t *testing.T) {
 	}
 }
 
-// encodeProbe sym-encodes a probe key against the store's dictionary,
-// mirroring what master.AppendProbeKey does for the compiled chase. The
-// second result reports whether every value was already interned; a
-// miss means no registered index can contain the key.
-func encodeProbe(st *Store, key value.List) ([]byte, bool) {
-	kb := make([]byte, 0, 4*len(key))
-	for _, v := range key {
-		sym, ok := st.Dict().LookupV(v)
-		if !ok {
-			return nil, false
-		}
-		kb = value.AppendSym(kb, sym)
+// probeLookup runs a handle probe for a bare key list, as the compiled
+// chase does for an input tuple's match positions.
+func probeLookup(h *RuleHandle, key value.List) (value.List, int64, LookupStatus, bool) {
+	pos := make([]int, len(key))
+	for i := range pos {
+		pos[i] = i
 	}
-	return kb, true
+	return h.Lookup(&schema.Tuple{Vals: key}, pos, nil)
 }
 
 // The pre-resolved handle must agree with Store.UniqueRHS on every
@@ -187,8 +183,7 @@ func TestRuleHandleAgreesWithUniqueRHS(t *testing.T) {
 	probe := func(t *testing.T, st *Store, h *RuleHandle, key value.List) {
 		t.Helper()
 		wantRHS, wantWitness, wantStatus := st.UniqueRHS(match, key, rhs)
-		kb, enc := encodeProbe(st, key)
-		gotRHS, gotWitness, gotStatus, ok := h.Lookup(kb, enc)
+		gotRHS, gotWitness, gotStatus, ok := probeLookup(h, key)
 		if !ok {
 			t.Fatalf("key %v: handle reports no index", key)
 		}
@@ -216,13 +211,13 @@ func TestRuleHandleAgreesWithUniqueRHS(t *testing.T) {
 	probe(t, m, live, value.List{"ZZ9 9ZZ"})
 	// The dictionary is shared and append-only, so the snapshot handle
 	// can encode the new value — its frozen index simply lacks the key.
-	if _, _, st, _ := snapH.Lookup(encodeProbe(snap, value.List{"ZZ9 9ZZ"})); st != NoMatch {
+	if _, _, st, _ := probeLookup(snapH, value.List{"ZZ9 9ZZ"}); st != NoMatch {
 		t.Fatalf("snapshot handle sees post-snapshot row: %v", st)
 	}
 	if _, err := m.InsertValues("Other", "Person", "888", "1", "2", "3", "4", "ZZ9 9ZZ"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, st, _ := live.Lookup(encodeProbe(m, value.List{"ZZ9 9ZZ"})); st != Conflict {
+	if _, _, st, _ := probeLookup(live, value.List{"ZZ9 9ZZ"}); st != Conflict {
 		t.Fatalf("live handle missed incremental conflict: %v", st)
 	}
 	for _, k := range keys {
@@ -236,11 +231,11 @@ func TestRuleHandleAgreesWithUniqueRHS(t *testing.T) {
 func TestRuleHandleUnregisteredPair(t *testing.T) {
 	m := demoStore(t)
 	h := m.Handle([]string{"zip"}, []string{"AC"})
-	if _, _, _, ok := h.Lookup(encodeProbe(m, value.List{"EH8 4AH"})); ok {
+	if _, _, _, ok := probeLookup(h, value.List{"EH8 4AH"}); ok {
 		t.Fatal("handle claims an index that was never built")
 	}
 	snapH := m.Snapshot().Handle([]string{"zip"}, []string{"AC"})
-	if _, _, _, ok := snapH.Lookup(encodeProbe(m, value.List{"EH8 4AH"})); ok {
+	if _, _, _, ok := probeLookup(snapH, value.List{"EH8 4AH"}); ok {
 		t.Fatal("snapshot handle claims an index that was never built")
 	}
 	// Once built, the same live handle resolves on its next probe.
@@ -248,7 +243,7 @@ func TestRuleHandleUnregisteredPair(t *testing.T) {
 	if err := m.PrepareForRules(rs); err != nil {
 		t.Fatal(err)
 	}
-	rhs, _, st, ok := h.Lookup(encodeProbe(m, value.List{"EH8 4AH"}))
+	rhs, _, st, ok := probeLookup(h, value.List{"EH8 4AH"})
 	if !ok || st != Unique || rhs[0] != "131" {
 		t.Fatalf("live handle did not pick up the new index: %v %v ok=%v", rhs, st, ok)
 	}
@@ -272,9 +267,51 @@ func TestPrepareRuleIndexesRebuild(t *testing.T) {
 	if st != NoMatch {
 		t.Fatalf("stale index returned %v", st)
 	}
-	m.PrepareRuleIndexes(rs)
+	if err := m.PrepareForRules(rs); err != nil {
+		t.Fatal(err)
+	}
 	rhs, _, st := m.UniqueRHS([]string{"zip"}, value.List{"BULK1"}, []string{"AC"})
 	if st != Unique || rhs[0] != "777" {
 		t.Fatalf("rebuild missed: %v %v", rhs, st)
+	}
+}
+
+// More Bm lists on one Xm than an entry has conflict bits: the
+// overflow pairs stay unregistered — their handles report no index —
+// and UniqueRHS answers them by walking the group, agreeing with a
+// scan on every key.
+func TestRuleIndexPairOverflow(t *testing.T) {
+	m := demoStore(t)
+	others := []string{"FN", "LN", "AC", "Hphn", "Mphn", "str", "city"}
+	var rules []*rule.Rule
+	for mask := 1; len(rules) < maxPairs+6; mask++ {
+		var sets []string
+		for i, a := range others {
+			if mask&(1<<i) != 0 {
+				sets = append(sets, a+" := "+a)
+			}
+		}
+		rules = append(rules, mustParse(t, fmt.Sprintf("o%d: match zip~zip set %s", mask, strings.Join(sets, ", "))))
+	}
+	if err := m.PrepareForRules(rule.MustSet(rules...)); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(m.RegisteredRuleIndexes()); n != maxPairs {
+		t.Fatalf("registered %d pairs on one Xm, want %d", n, maxPairs)
+	}
+	for i, r := range rules {
+		xm, bm := r.MatchMasterAttrs(), r.SetMasterAttrs()
+		if _, _, _, ok := probeLookup(m.Handle(xm, bm), value.List{"EH8 4AH"}); ok != (i < maxPairs) {
+			t.Fatalf("rule %s: handle ok = %v", r.ID, ok)
+		}
+		for _, key := range []value.List{{"EH8 4AH"}, {"NW1 6XE"}, {"nothing"}} {
+			m.SetMode(ModeRuleIndex)
+			rhs, witness, st := m.UniqueRHS(xm, key, bm)
+			m.SetMode(ModeScan)
+			wantRHS, wantWitness, wantSt := m.UniqueRHS(xm, key, bm)
+			if st != wantSt || witness != wantWitness || !rhs.Equal(wantRHS) {
+				t.Fatalf("rule %s key %v: (%v,%d,%v), scan (%v,%d,%v)", r.ID, key, rhs, witness, st, wantRHS, wantWitness, wantSt)
+			}
+		}
 	}
 }

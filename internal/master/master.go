@@ -1,15 +1,17 @@
 // Package master implements CerFix's master data manager. Master data
 // (a.k.a. reference data) is "a single repository of high-quality data
 // ... assumed consistent and accurate" (paper §2). The manager wraps a
-// storage table, pre-builds hash indexes over the master-side attribute
-// lists (Xm) of every editing rule — the access path rule application
-// probes — and exposes the unique-right-hand-side lookup that the
-// certain-fix semantics requires: a fix is only certain if every master
-// tuple matching the key agrees on the source values.
+// storage table, pre-builds one index per master-side match list (Xm)
+// of the editing rules — the access path rule application probes — and
+// exposes the unique-right-hand-side lookup that the certain-fix
+// semantics requires: a fix is only certain if every master tuple
+// matching the key agrees on the source values.
 package master
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -49,14 +51,14 @@ func (s LookupStatus) String() string {
 
 // Store is the master data manager. A store built by New or FromTable
 // is live and thread-safe: its own mutex serializes mutators with
-// Snapshot, so a snapshot is always an atomic view of table plus rule
-// indexes — no caller-side locking required. A store returned by
+// Snapshot, so a snapshot is always an atomic view of table plus
+// index — no caller-side locking required. A store returned by
 // Snapshot is a frozen read-only view that any number of goroutines
 // read without synchronization.
 type Store struct {
 	// mu serializes mutators (Insert, PrepareForRules) with Snapshot
-	// on the live store and guards live rule-index lookups against
-	// them. Frozen stores are immutable and skip it.
+	// on the live store and guards live index lookups against them.
+	// Frozen stores are immutable and skip it.
 	mu     sync.RWMutex
 	frozen bool
 	table  *storage.Table
@@ -65,39 +67,39 @@ type Store struct {
 	// race-free against concurrent lookups, on live stores and
 	// snapshots alike — the mode is a per-view knob, not data.
 	mode atomic.Int32
-	// ruleIdx holds the precomputed unique-RHS maps (the fast path).
-	ruleIdx *ruleIndexes
-	// version counts rule-index mutations (Insert, PrepareRuleIndexes);
-	// together with the table snapshot identity it keys the snapshot
-	// cache below.
+	// idx holds one index per distinct match list (see index.go).
+	idx *indexSet
+	// version counts index mutations (Insert, PrepareForRules,
+	// PackColumnar); together with the table snapshot identity it
+	// keys the snapshot cache below.
 	version uint64
-	// snapRuleIdx/snapTable/snapVersion cache the frozen internals of
-	// the most recent snapshot: an unchanged store reuses them instead
-	// of re-marking shards. Each Snapshot call still returns a fresh
+	// snapIdx/snapTable/snapVersion cache the frozen internals of the
+	// most recent snapshot: an unchanged store reuses them instead of
+	// re-marking shards. Each Snapshot call still returns a fresh
 	// *Store wrapper with its own mode atomic, so the per-view SetMode
 	// contract holds even when the underlying data is shared.
-	snapRuleIdx *ruleIndexes
+	snapIdx     *indexSet
 	snapTable   *storage.Table
 	snapVersion uint64
 }
 
 // New wraps an empty master relation under sch.
 func New(sch *schema.Schema) *Store {
-	m := &Store{table: storage.NewTable(sch), ruleIdx: newRuleIndexes()}
+	m := &Store{table: storage.NewTable(sch), idx: newIndexSet()}
 	m.mode.Store(int32(ModeRuleIndex))
 	return m
 }
 
 // FromTable wraps an existing table (e.g. loaded from CSV).
 func FromTable(t *storage.Table) *Store {
-	m := &Store{table: t, ruleIdx: newRuleIndexes()}
+	m := &Store{table: t, idx: newIndexSet()}
 	m.mode.Store(int32(ModeRuleIndex))
 	return m
 }
 
 // lock/unlock guard mutators; rlock/runlock guard live readers of the
-// rule indexes. Frozen stores are immutable: readers skip the mutex
-// and mutators must never run (callers check frozen first).
+// index. Frozen stores are immutable: readers skip the mutex and
+// mutators must never run (callers check frozen first).
 func (m *Store) lock() {
 	if m.frozen {
 		panic("master: mutating a read-only snapshot")
@@ -120,16 +122,14 @@ func (m *Store) runlock() {
 }
 
 // Snapshot returns a frozen O(1) view of the store: the table and the
-// unique-RHS rule indexes of this instant, captured atomically under
-// the store's own lock — callers need no external serialization with
-// writers. The snapshot is immutable (mutators fail with
+// index of this instant, captured atomically under the store's own
+// lock — callers need no external serialization with writers. The snapshot is immutable (mutators fail with
 // storage.ErrFrozen) and lock-free to read, so any number of
 // goroutines — the batch pipeline's workers, concurrent job runners —
 // chase against it while the live store keeps absorbing inserts. Cost
 // is independent of master size: both layers only mark their
 // constant-size shard directories copy-on-write (see storage.Table
-// and the rule-index registry). Snapshotting a snapshot returns the
-// same view. The snapshot inherits the live store's lookup mode at
+// and index.go). Snapshotting a snapshot returns the same view. The snapshot inherits the live store's lookup mode at
 // capture; its mode remains independently settable (a per-view knob).
 func (m *Store) Snapshot() *Store {
 	if m.frozen {
@@ -138,37 +138,35 @@ func (m *Store) Snapshot() *Store {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	tsnap := m.table.Snapshot()
-	// Re-freeze the rule indexes only when something changed since the
-	// last capture: a different table snapshot (the table caches by
-	// generation, covering direct-table bulk writes too) or a new
-	// rule-index version. Otherwise the previous frozen view is
-	// bit-for-bit current and re-marking shards would only re-tax
-	// writers.
-	if m.snapRuleIdx == nil || m.snapTable != tsnap || m.snapVersion != m.version {
-		m.snapRuleIdx = m.ruleIdx.snapshot()
+	// Re-freeze the index only when something changed since the last
+	// capture: a different table snapshot (the table caches by
+	// generation, covering direct-table bulk writes too) or a new index
+	// version. Otherwise the previous frozen view is bit-for-bit current
+	// and re-marking shards would only re-tax writers.
+	if m.snapIdx == nil || m.snapTable != tsnap || m.snapVersion != m.version {
+		m.snapIdx = m.idx.snapshot()
 		m.snapTable = tsnap
 		m.snapVersion = m.version
 	}
 	// A fresh wrapper per call: callers own their view's mode knob
 	// even when the frozen data underneath is shared.
 	cp := &Store{
-		frozen:  true,
-		table:   tsnap,
-		ruleIdx: m.snapRuleIdx,
+		frozen: true,
+		table:  tsnap,
+		idx:    m.snapIdx,
 	}
 	cp.mode.Store(m.mode.Load())
 	return cp
 }
 
 // CloneDeep returns an isolated deep copy of the store — cloned table
-// (rows, hash indexes) and deep-copied rule indexes — that is itself
-// live and mutable. This is the legacy O(master size) snapshot path,
+// and deep-copied index — that is itself live and mutable. This is the legacy O(master size) snapshot path,
 // retained for callers that need a private mutable copy and as the
 // benchmark baseline for Snapshot (cerfixbench e9).
 func (m *Store) CloneDeep() *Store {
 	m.rlock()
 	defer m.runlock()
-	cp := &Store{table: m.table.Clone(), ruleIdx: m.ruleIdx.clone()}
+	cp := &Store{table: m.table.Clone(), idx: m.idx.clone()}
 	cp.mode.Store(m.mode.Load())
 	return cp
 }
@@ -188,7 +186,7 @@ func (m *Store) Table() *storage.Table { return m.table }
 // Len returns the number of master tuples.
 func (m *Store) Len() int { return m.table.Len() }
 
-// SetUseIndexes toggles between hash-indexed lookups and full scans —
+// SetUseIndexes toggles between indexed lookups and full scans —
 // kept for the E5 ablation; SetMode is the general knob. on=true maps
 // to ModeRuleIndex, false to ModeScan.
 func (m *Store) SetUseIndexes(on bool) {
@@ -206,21 +204,23 @@ func (m *Store) SetMode(mode LookupMode) { m.mode.Store(int32(mode)) }
 // Mode returns the current access path.
 func (m *Store) Mode() LookupMode { return LookupMode(m.mode.Load()) }
 
-// Insert adds a master tuple and maintains the rule indexes. The
-// table row and its index entries become visible atomically: a
-// concurrent Snapshot sees either both or neither.
+// Insert adds a master tuple and maintains the index. The table row
+// and its index entries become visible atomically: a concurrent
+// Snapshot sees either both or neither.
 func (m *Store) Insert(tu *schema.Tuple) (int64, error) {
 	if m.frozen {
 		return 0, storage.ErrFrozen
 	}
 	m.lock()
 	defer m.unlock()
+	if len(m.idx.indexes) > 0 && m.table.NextID() > math.MaxUint32 {
+		return 0, fmt.Errorf("master: insert: row ids exceed the index's 32-bit range")
+	}
 	id, err := m.table.Insert(tu)
 	if err != nil {
 		return 0, err
 	}
-	stored, _ := m.table.Get(id)
-	m.ruleIdx.insert(stored, m.table.Dict())
+	m.idx.insert(&schema.Tuple{Schema: tu.Schema, ID: id, Vals: tu.Vals}, m.table)
 	m.version++
 	return id, nil
 }
@@ -240,80 +240,150 @@ func (m *Store) All() []*schema.Tuple { return m.table.All() }
 // Get returns the master tuple with the given ID.
 func (m *Store) Get(id int64) (*schema.Tuple, bool) { return m.table.Get(id) }
 
-// PrepareForRules creates one index per distinct master-side match
-// attribute list across the rule set, so every rule's lookup is O(1)
-// expected. Must be re-run after adding rules with new Xm lists (extra
-// runs are idempotent).
-func (m *Store) PrepareForRules(rs *rule.Set) error {
-	if m.frozen {
-		return fmt.Errorf("master: PrepareForRules: %w", storage.ErrFrozen)
-	}
-	for _, r := range rs.Rules() {
-		if err := m.table.CreateIndex(r.MatchMasterAttrs()); err != nil {
-			return fmt.Errorf("master: indexing for rule %s: %w", r.ID, err)
-		}
-	}
-	m.PrepareRuleIndexes(rs)
-	return nil
-}
-
-// Lookup returns all master tuples whose attrs project to key.
+// Lookup returns copies of all master tuples whose attrs project to
+// key, in insertion order.
 func (m *Store) Lookup(attrs []string, key value.List) []*schema.Tuple {
-	if m.Mode() != ModeScan {
-		return m.table.LookupEq(attrs, key)
-	}
-	// Forced-scan path: bypass any index. Attribute positions are
-	// resolved once up front and every row compares in place over the
-	// shared-scan iterator, so the per-row cost is a few value
-	// comparisons — not a tuple clone plus a projection allocation.
 	if len(attrs) != len(key) {
 		return nil
 	}
-	sch := m.table.Schema()
-	positions := make([]int, len(attrs))
-	for i, a := range attrs {
-		positions[i] = sch.MustIndex(a)
-	}
 	var out []*schema.Tuple
-	m.table.ScanShared(func(tu *schema.Tuple) bool {
-		for i, p := range positions {
-			if tu.Vals[p] != key[i] {
-				return true
+	if m.Mode() != ModeScan {
+		m.rlock()
+		ix := m.idx.byAttrs(attrs)
+		if ix != nil {
+			if k, ok := ix.keyOf(m.table.Dict(), key, ix.ident, false); ok {
+				ix.group(k, func(id int64) bool {
+					if tu, live := m.table.Get(id); live {
+						out = append(out, tu)
+					}
+					return true
+				})
 			}
 		}
-		out = append(out, tu.Clone())
+		m.runlock()
+		if ix != nil {
+			return out
+		}
+	}
+	pos := attrPositions(m.table.Schema(), attrs)
+	m.table.ScanShared(func(tu *schema.Tuple) bool {
+		if cellsEqual(tu.Vals, pos, key) {
+			out = append(out, tu.Clone())
+		}
 		return true
 	})
 	return out
 }
 
+// cellsEqual reports whether vals at positions equal want.
+func cellsEqual(vals value.List, positions []int, want value.List) bool {
+	for i, p := range positions {
+		if vals[p] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // UniqueRHS performs the certain-fix lookup for one rule application:
 // find master tuples with matchAttrs = key; if none, return NoMatch; if
 // all agree on rhsAttrs, return those values, the witness tuple's ID
-// and Unique; otherwise Conflict.
+// (the first match in insertion order) and Unique; otherwise Conflict.
+// ModeRuleIndex answers a registered pair from its conflict bit and
+// the witness row; ModePlainIndex (and an unregistered pair over an
+// indexed Xm) walks the key's group; ModeScan, and any Xm without an
+// index, scans the relation. Every path compares cells in place.
 func (m *Store) UniqueRHS(matchAttrs []string, key value.List, rhsAttrs []string) (value.List, int64, LookupStatus) {
-	if m.Mode() == ModeRuleIndex {
+	if len(matchAttrs) != len(key) {
+		return nil, 0, NoMatch
+	}
+	rhsPos := attrPositions(m.table.Schema(), rhsAttrs)
+	if mode := m.Mode(); mode != ModeScan {
 		m.rlock()
-		rhs, witness, status, ok := m.ruleIdx.lookup(matchAttrs, key, rhsAttrs, m.table.Dict())
+		rhs, witness, status, ok := m.indexedRHS(mode, matchAttrs, key, rhsAttrs, rhsPos)
 		m.runlock()
 		if ok {
 			return rhs, witness, status
 		}
-		// No index for this pair (ad-hoc query): fall through to the
-		// group-verification path.
 	}
-	matches := m.Lookup(matchAttrs, key)
-	if len(matches) == 0 {
-		return nil, 0, NoMatch
+	var f rhsFold
+	pos := attrPositions(m.table.Schema(), matchAttrs)
+	m.table.ScanShared(func(tu *schema.Tuple) bool {
+		if !cellsEqual(tu.Vals, pos, key) {
+			return true
+		}
+		f.scratch = f.scratch[:0]
+		for _, p := range rhsPos {
+			f.scratch = append(f.scratch, tu.Vals[p])
+		}
+		return f.add(tu.ID, f.scratch)
+	})
+	return f.result()
+}
+
+// indexedRHS answers UniqueRHS from the index over matchAttrs: by
+// the pair's conflict bit under ModeRuleIndex, else by walking the
+// key's group. ok=false means no index covers matchAttrs. Callers
+// hold the read lock (or the store is frozen).
+func (m *Store) indexedRHS(mode LookupMode, matchAttrs []string, key value.List, rhsAttrs []string, rhsPos []int) (value.List, int64, LookupStatus, bool) {
+	ix := m.idx.byAttrs(matchAttrs)
+	if ix == nil {
+		return nil, 0, NoMatch, false
 	}
-	rhs := matches[0].Project(rhsAttrs)
-	witness := matches[0].ID
-	for _, tu := range matches[1:] {
-		if !tu.Project(rhsAttrs).Equal(rhs) {
-			return nil, 0, Conflict
+	if mode == ModeRuleIndex {
+		if _, bit, reg := m.idx.pair(HandleKey(matchAttrs, rhsAttrs)); reg {
+			if rhs, witness, status, ok := ix.answer(m.table, key, ix.ident, bit, nil); ok {
+				return rhs, witness, status, true
+			}
 		}
 	}
-	return rhs, witness, Unique
+	k, found := ix.keyOf(m.table.Dict(), key, ix.ident, false)
+	if !found {
+		return nil, 0, NoMatch, true
+	}
+	var f rhsFold
+	ix.group(k, func(id int64) bool {
+		cells, live := m.table.CellsAt(f.scratch[:0], id, rhsPos)
+		f.scratch = cells
+		return !live || f.add(id, cells)
+	})
+	rhs, witness, status := f.result()
+	return rhs, witness, status, true
+}
+
+// rhsFold accumulates the unique-RHS answer over a key's matching
+// rows, visited in insertion order: the first is the witness, and the
+// first disagreeing row ends the walk with a conflict.
+type rhsFold struct {
+	rhs      value.List
+	witness  int64
+	found    bool
+	conflict bool
+	scratch  value.List
+}
+
+// add folds one matching row's RHS cells (a view the caller reuses),
+// reporting whether the walk should continue.
+func (f *rhsFold) add(id int64, cells value.List) bool {
+	if !f.found {
+		f.found, f.witness, f.rhs = true, id, slices.Clone(cells)
+		return true
+	}
+	if !f.rhs.Equal(cells) {
+		f.conflict = true
+		return false
+	}
+	return true
+}
+
+func (f *rhsFold) result() (value.List, int64, LookupStatus) {
+	switch {
+	case !f.found:
+		return nil, 0, NoMatch
+	case f.conflict:
+		return nil, 0, Conflict
+	}
+	return f.rhs, f.witness, Unique
 }
 
 // UniqueRHSForRule is UniqueRHS specialized to a rule: the key is the
@@ -348,13 +418,12 @@ func (m *Store) PackColumnar(maxShards int) int {
 }
 
 // MemStats is the store's memory account: the table's (rows, shards,
-// COW debt, dictionary) plus an estimate of the unique-RHS rule
-// indexes.
+// COW debt, dictionary) plus the index's.
 type MemStats struct {
 	Table storage.TableMem `json:"table"`
-	// RuleIndexKeys counts entries across all rule indexes;
-	// RuleIndexBytes estimates their footprint (sym-encoded keys, map
-	// entries, and the RHS value headers each entry retains).
+	// RuleIndexKeys counts the distinct keys across the match-list
+	// indexes; RuleIndexBytes is their exact footprint (slot arrays,
+	// group chains, headers and prefix dictionaries).
 	RuleIndexKeys  int   `json:"rule_index_keys"`
 	RuleIndexBytes int64 `json:"rule_index_bytes"`
 }
@@ -367,14 +436,9 @@ func (m *Store) MemStats() MemStats {
 	m.rlock()
 	defer m.runlock()
 	out := MemStats{Table: m.table.MemStats()}
-	for _, ix := range m.ruleIdx.indexes {
-		keyBytes := int64(4*len(ix.matchAttrs)) + 16 // sym key + string header
-		entryBytes := keyBytes + 48 + 40 + int64(16*len(ix.rhsAttrs))
-		for _, sh := range &ix.shards {
-			n := len(sh.M)
-			out.RuleIndexKeys += n
-			out.RuleIndexBytes += int64(n) * entryBytes
-		}
+	for _, ix := range m.idx.indexes {
+		out.RuleIndexKeys += ix.keyCount()
+		out.RuleIndexBytes += ix.memBytes()
 	}
 	return out
 }

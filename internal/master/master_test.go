@@ -121,10 +121,10 @@ func TestPrepareForRules(t *testing.T) {
 	if err := m.PrepareForRules(rs); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Table().HasIndex([]string{"zip"}) {
+	if m.idx.byAttrs([]string{"zip"}) == nil {
 		t.Error("zip index missing")
 	}
-	if !m.Table().HasIndex([]string{"AC", "Hphn"}) {
+	if m.idx.byAttrs([]string{"AC", "Hphn"}) == nil {
 		t.Error("composite index missing")
 	}
 	// Idempotent.

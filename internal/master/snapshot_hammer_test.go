@@ -58,7 +58,7 @@ func TestSnapshotAtomicHammer(t *testing.T) {
 						e.lastZip, status, rhs, e.lastAC)
 					return
 				}
-				// Table hash-index path agrees.
+				// The group walk agrees.
 				if n := len(e.snap.Lookup([]string{"zip"}, value.List{value.V(e.lastZip)})); n != 1 {
 					t.Errorf("snapshot table lookup for %q = %d rows, want 1", e.lastZip, n)
 					return
@@ -169,7 +169,7 @@ func TestStoreSnapshotCache(t *testing.T) {
 	}
 	s1 := m.Snapshot()
 	s2 := m.Snapshot()
-	if s2.table != s1.table || s2.ruleIdx != s1.ruleIdx {
+	if s2.table != s1.table || s2.idx != s1.idx {
 		t.Fatal("unchanged store did not reuse its frozen internals")
 	}
 	if s2 == s1 {
@@ -187,8 +187,10 @@ func TestStoreSnapshotCache(t *testing.T) {
 	if s3.table == s1.table || s3.Len() != 4 || s1.Len() != 3 {
 		t.Fatalf("insert not reflected: shared table %v lens %d/%d", s3.table == s1.table, s1.Len(), s3.Len())
 	}
-	m.PrepareRuleIndexes(rs)
-	if s4 := m.Snapshot(); s4.ruleIdx == s3.ruleIdx {
+	if err := m.PrepareForRules(rs); err != nil {
+		t.Fatal(err)
+	}
+	if s4 := m.Snapshot(); s4.idx == s3.idx {
 		t.Fatal("rule-index rebuild did not refresh the cached internals")
 	}
 }

@@ -46,7 +46,6 @@ type table struct {
 	indexByte func(b []byte, c byte) int
 	scanJSON  func(b []byte) int
 	hash      func(h uint32, s string) uint32
-	hashBytes func(h uint32, b []byte) uint32
 }
 
 var portableTable = table{
@@ -54,7 +53,6 @@ var portableTable = table{
 	indexByte: indexByteSWAR,
 	scanJSON:  scanJSONSWAR,
 	hash:      fnv1aString,
-	hashBytes: fnv1aBytes,
 }
 
 // nativeTable starts as a copy of the portable table; architecture
@@ -65,7 +63,6 @@ var nativeTable = table{
 	indexByte: indexByteSWAR,
 	scanJSON:  scanJSONSWAR,
 	hash:      fnv1aString,
-	hashBytes: fnv1aBytes,
 }
 
 var (
@@ -145,7 +142,3 @@ const (
 // word, which is bit-identical to the byte-at-a-time definition (the
 // mix chain is inherently sequential; only the loads widen).
 func Hash(s string) uint32 { return cur.hash(fnvOffset, s) }
-
-// HashBytes is Hash for a byte slice: same bytes, same hash, without
-// converting (and allocating) the string.
-func HashBytes(b []byte) uint32 { return cur.hashBytes(fnvOffset, b) }

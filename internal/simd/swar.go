@@ -80,12 +80,9 @@ func scanJSONSWAR(b []byte) int {
 // fnv1aString is the wide FNV-1a body over a string: one 8-byte load,
 // then the 8 mix steps extracted from the word. The hash chain is the
 // byte-serial FNV-1a definition exactly — widening the loads cannot
-// change a single bit — so cowmap shard routing and dictionary slots
-// computed by either form always agree.
+// change a single bit — so dictionary slots computed by either kernel
+// table always agree.
 func fnv1aString(h uint32, s string) uint32 { return fnv1aWide(h, s) }
-
-// fnv1aBytes is fnv1aString for a byte slice.
-func fnv1aBytes(h uint32, b []byte) uint32 { return fnv1aWide(h, b) }
 
 func fnv1aWide[K ~string | ~[]byte](h uint32, k K) uint32 {
 	i, n := 0, len(k)

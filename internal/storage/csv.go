@@ -71,8 +71,8 @@ func (t *Table) ReadCSV(r io.Reader) error {
 		for i, cell := range rec {
 			vals[colToAttr[i]] = value.V(cell)
 		}
-		tu := &schema.Tuple{Schema: t.sch, Vals: vals}
-		if _, err := t.Insert(tu); err != nil {
+		// The tuple is fresh: hand it over without Insert's copy.
+		if _, err := t.insertOwned(&schema.Tuple{Schema: t.sch, Vals: vals}); err != nil {
 			return fmt.Errorf("storage: csv line %d: %w", line, err)
 		}
 	}

@@ -15,9 +15,6 @@ import (
 // the identity.
 func TestSnapshotReadOnly(t *testing.T) {
 	tb := NewTable(personSchema(t))
-	if err := tb.CreateIndex([]string{"zip"}); err != nil {
-		t.Fatal(err)
-	}
 	id, err := tb.InsertValues("F", "L", "Z1")
 	if err != nil {
 		t.Fatal(err)
@@ -39,14 +36,6 @@ func TestSnapshotReadOnly(t *testing.T) {
 	}
 	if _, err := snap.ApplyBatch([]Op{Delete(id)}); !errors.Is(err, ErrFrozen) {
 		t.Fatalf("ApplyBatch on snapshot: %v, want ErrFrozen", err)
-	}
-	// A new index cannot be built on a frozen view; an existing one
-	// is answered idempotently.
-	if err := snap.CreateIndex([]string{"FN"}); !errors.Is(err, ErrFrozen) {
-		t.Fatalf("CreateIndex on snapshot: %v, want ErrFrozen", err)
-	}
-	if err := snap.CreateIndex([]string{"zip"}); err != nil {
-		t.Fatalf("idempotent CreateIndex on snapshot: %v", err)
 	}
 	if snap.Delete(id) {
 		t.Error("Delete on snapshot reported success")
@@ -74,13 +63,13 @@ type snapExpect struct {
 // TestSnapshotHammer interleaves one writer (inserts, updates,
 // deletes), O(1) snapshot captures, and concurrent snapshot readers.
 // Under -race this is the copy-on-write soundness proof: every
-// snapshot must see exactly its generation's rows and index contents
-// — nothing torn, nothing from the future — while the writer keeps
-// touching the shared shards.
+// snapshot must see exactly its generation's rows — nothing torn,
+// nothing from the future — while the writer keeps touching the
+// shared shards.
 func TestSnapshotHammer(t *testing.T) {
 	tb := NewTable(personSchema(t))
-	if err := tb.CreateIndex([]string{"zip"}); err != nil {
-		t.Fatal(err)
+	zipRows := func(snap *Table, zip string) int {
+		return len(snap.Select(func(tu *schema.Tuple) bool { return string(tu.Get("zip")) == zip }))
 	}
 
 	const (
@@ -102,17 +91,17 @@ func TestSnapshotHammer(t *testing.T) {
 					t.Errorf("gen %d: Len = %d, want %d", e.wantGen, got, e.wantLen)
 					return
 				}
-				if n := len(e.snap.LookupEq([]string{"zip"}, value.List{value.V(e.lastZip)})); n != 1 {
-					t.Errorf("gen %d: newest row %q matched %d times via index", e.wantGen, e.lastZip, n)
+				if n := zipRows(e.snap, e.lastZip); n != 1 {
+					t.Errorf("gen %d: newest row %q matched %d times", e.wantGen, e.lastZip, n)
 					return
 				}
 				if e.goneZip != "" {
-					if n := len(e.snap.LookupEq([]string{"zip"}, value.List{value.V(e.goneZip)})); n != 0 {
-						t.Errorf("gen %d: removed row %q still indexed (%d hits)", e.wantGen, e.goneZip, n)
+					if n := zipRows(e.snap, e.goneZip); n != 0 {
+						t.Errorf("gen %d: removed row %q still visible (%d hits)", e.wantGen, e.goneZip, n)
 						return
 					}
 				}
-				if n := len(e.snap.LookupEq([]string{"zip"}, value.List{value.V(e.nextZip)})); n != 0 {
+				if n := zipRows(e.snap, e.nextZip); n != 0 {
 					t.Errorf("gen %d: future row %q visible", e.wantGen, e.nextZip)
 					return
 				}
@@ -128,7 +117,6 @@ func TestSnapshotHammer(t *testing.T) {
 	}
 
 	// Single writer; the model (count, gen, zips) is its ground truth.
-	// gen starts at the post-CreateIndex generation.
 	var (
 		ids   []int64
 		zips  []string
@@ -156,7 +144,7 @@ func TestSnapshotHammer(t *testing.T) {
 			gen++
 		}
 		if i%5 == 0 {
-			// Rewrite the newest row's zip (update path: index remove+add).
+			// Rewrite the newest row's zip (update path).
 			newZip := zip + "u"
 			row, ok := tb.Get(id)
 			if !ok {
@@ -237,7 +225,7 @@ func TestDeleteTombstoneCompaction(t *testing.T) {
 
 // TestSnapshotCache: re-snapshotting an unchanged table returns the
 // identical frozen view (no re-marking, no fresh COW debt); any
-// mutation — row change or index build — invalidates the cache.
+// mutation — row change or pack — invalidates the cache.
 func TestSnapshotCache(t *testing.T) {
 	tb := NewTable(personSchema(t))
 	if _, err := tb.InsertValues("F", "L", "Z1"); err != nil {
@@ -257,14 +245,11 @@ func TestSnapshotCache(t *testing.T) {
 	if s1.Len() != 1 || s3.Len() != 2 {
 		t.Fatalf("lens: s1 %d s3 %d", s1.Len(), s3.Len())
 	}
-	if err := tb.CreateIndex([]string{"zip"}); err != nil {
-		t.Fatal(err)
+	tb.SetPackMinRows(1)
+	if tb.PackColumnar(0) == 0 {
+		t.Fatal("nothing packed")
 	}
-	s4 := tb.Snapshot()
-	if s4 == s3 {
-		t.Fatal("index build did not invalidate the snapshot cache")
-	}
-	if !s4.HasIndex([]string{"zip"}) || s3.HasIndex([]string{"zip"}) {
-		t.Fatal("index visibility wrong across cached snapshots")
+	if s4 := tb.Snapshot(); s4 == s3 || s4.Len() != 2 {
+		t.Fatal("pack did not invalidate the snapshot cache")
 	}
 }

@@ -45,6 +45,12 @@ func TestInsertGet(t *testing.T) {
 	if _, ok := tb.Get(999); ok {
 		t.Fatal("Get(999) found phantom row")
 	}
+	if cells, ok := tb.CellsAt(nil, ids[1], []int{2, 0}); !ok || !cells.Equal(value.List{"W1B 1JL", "Mark"}) {
+		t.Fatalf("CellsAt = %v, %v", cells, ok)
+	}
+	if _, ok := tb.CellsAt(nil, 999, []int{0}); ok {
+		t.Fatal("CellsAt(999) found phantom row")
+	}
 	// IDs are unique and ascending.
 	if !(ids[0] < ids[1] && ids[1] < ids[2]) {
 		t.Fatalf("IDs not ascending: %v", ids)
@@ -215,68 +221,6 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-func TestLookupEqScanAndIndex(t *testing.T) {
-	tb := NewTable(personSchema(t))
-	fill(t, tb)
-	attrs := []string{"zip"}
-	key := value.List{"EH8 4AH"}
-
-	scanRes := tb.LookupEq(attrs, key)
-	if len(scanRes) != 2 {
-		t.Fatalf("scan lookup = %d rows", len(scanRes))
-	}
-	if err := tb.CreateIndex(attrs); err != nil {
-		t.Fatal(err)
-	}
-	if !tb.HasIndex(attrs) {
-		t.Fatal("HasIndex false after CreateIndex")
-	}
-	idxRes := tb.LookupEq(attrs, key)
-	if len(idxRes) != 2 {
-		t.Fatalf("indexed lookup = %d rows", len(idxRes))
-	}
-	// Composite, order-insensitive.
-	if err := tb.CreateIndex([]string{"FN", "LN"}); err != nil {
-		t.Fatal(err)
-	}
-	got := tb.LookupEq([]string{"LN", "FN"}, value.List{"Brady", "Robert"})
-	if len(got) != 1 || got[0].Get("zip") != "EH8 4AH" {
-		t.Fatalf("composite lookup = %v", got)
-	}
-	if res := tb.LookupEq(attrs, value.List{"a", "b"}); res != nil {
-		t.Fatal("arity-mismatched lookup returned rows")
-	}
-	if err := tb.CreateIndex([]string{"bogus"}); err == nil {
-		t.Fatal("index on unknown attribute accepted")
-	}
-}
-
-func TestIndexMaintenance(t *testing.T) {
-	tb := NewTable(personSchema(t))
-	if err := tb.CreateIndex([]string{"zip"}); err != nil {
-		t.Fatal(err)
-	}
-	ids := fill(t, tb)
-	if n := len(tb.LookupEq([]string{"zip"}, value.List{"EH8 4AH"})); n != 2 {
-		t.Fatalf("after insert: %d", n)
-	}
-	tu, _ := tb.Get(ids[0])
-	tu.Set("zip", "XX1 1XX")
-	if err := tb.Update(tu); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(tb.LookupEq([]string{"zip"}, value.List{"EH8 4AH"})); n != 1 {
-		t.Fatalf("after update: %d", n)
-	}
-	if n := len(tb.LookupEq([]string{"zip"}, value.List{"XX1 1XX"})); n != 1 {
-		t.Fatalf("after update new key: %d", n)
-	}
-	tb.Delete(ids[2])
-	if n := len(tb.LookupEq([]string{"zip"}, value.List{"EH8 4AH"})); n != 0 {
-		t.Fatalf("after delete: %d", n)
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	tb := NewTable(personSchema(t))
 	var wg sync.WaitGroup
@@ -289,7 +233,7 @@ func TestConcurrentAccess(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				tb.LookupEq([]string{"zip"}, value.List{"Z"})
+				tb.CellsAt(nil, int64(i+1), []int{2})
 				tb.Len()
 			}
 		}(g)
@@ -301,19 +245,19 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 // Clone yields an isolated table: inserts, updates and deletes on
-// either side stay invisible to the other, including through indexes.
+// either side stay invisible to the other.
 func TestTableClone(t *testing.T) {
 	tb := NewTable(personSchema(t))
-	if err := tb.CreateIndex([]string{"zip"}); err != nil {
-		t.Fatal(err)
-	}
 	id, err := tb.InsertValues("F", "L", "Z1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cp := tb.Clone()
-	if cp.Len() != 1 || !cp.HasIndex([]string{"zip"}) {
+	if cp.Len() != 1 {
 		t.Fatalf("clone: len %d", cp.Len())
+	}
+	zipRows := func(tb *Table, zip value.V) int {
+		return len(tb.Select(func(tu *schema.Tuple) bool { return tu.Get("zip") == zip }))
 	}
 
 	// Diverge both sides.
@@ -323,10 +267,10 @@ func TestTableClone(t *testing.T) {
 	if _, err := cp.InsertValues("C", "D", "Z3"); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(tb.LookupEq([]string{"zip"}, value.List{"Z3"})); n != 0 {
+	if n := zipRows(tb, "Z3"); n != 0 {
 		t.Fatalf("clone insert visible in original: %d", n)
 	}
-	if n := len(cp.LookupEq([]string{"zip"}, value.List{"Z2"})); n != 0 {
+	if n := zipRows(cp, "Z2"); n != 0 {
 		t.Fatalf("original insert visible in clone: %d", n)
 	}
 
@@ -340,8 +284,8 @@ func TestTableClone(t *testing.T) {
 	if !ok || got.Get("zip") != "Z1" {
 		t.Fatalf("clone row = %v", got)
 	}
-	if n := len(cp.LookupEq([]string{"zip"}, value.List{"Z1"})); n != 1 {
-		t.Fatalf("clone index after original update: %d", n)
+	if n := zipRows(cp, "Z1"); n != 1 {
+		t.Fatalf("clone rows after original update: %d", n)
 	}
 
 	// Fresh IDs never collide across the pair.

@@ -264,7 +264,7 @@ func (d *Dict) Compare(a, b Sym, dom Domain) int {
 }
 
 // AppendSym appends sym's fixed-width little-endian encoding to dst.
-// Composite sym-encoded keys (rule-index probes, hash-index buckets)
+// Composite sym-encoded keys (the master index's match-list prefixes)
 // concatenate these 4-byte groups; fixed width means no length
 // prefixes are needed for unambiguous decoding.
 func AppendSym(dst []byte, s Sym) []byte {
@@ -272,8 +272,6 @@ func AppendSym(dst []byte, s Sym) []byte {
 }
 
 // fnvString is FNV-1a over the string bytes via the simd kernel's
-// wide body — bit-identical to the scalar definition and to
-// cowmap.FNVBytes, so callers can hash either representation
-// consistently and table slots never move when the kernel table
-// changes.
+// wide body — bit-identical to the scalar definition, so table slots
+// never move when the kernel table changes.
 func fnvString(s string) uint32 { return simd.Hash(s) }
