@@ -172,9 +172,9 @@ func runE13(scanTuples int, ruleSpec string, masterSize, probes int, seed uint64
 		return err
 	}
 	fmt.Println("simd row scanning — pipeline sources vs the stdlib decoders they replaced (tuple-parity-gated)")
-	st := textutil.NewTextTable("format", "kernel", "MB", "tuples", "ref ns/tuple", "ref MB/s", "simd ns/tuple", "simd MB/s", "speedup")
+	st := textutil.NewTextTable("format", "MB", "tuples", "ref ns/tuple", "ref MB/s", "simd ns/tuple", "simd MB/s", "speedup")
 	for _, r := range scanRows {
-		st.AddRow(r.Format, r.Kernel,
+		st.AddRow(r.Format,
 			fmt.Sprintf("%.1f", r.MegaBytes), fmt.Sprint(r.Tuples),
 			fmt.Sprintf("%.0f", r.RefNsPerTuple), fmt.Sprintf("%.1f", r.RefMBPerSec),
 			fmt.Sprintf("%.0f", r.SimdNsPerTuple), fmt.Sprintf("%.1f", r.SimdMBPerSec),
@@ -199,7 +199,6 @@ func runE13(scanTuples int, ruleSpec string, masterSize, probes int, seed uint64
 		"experiment":   "e13",
 		"description":  "simd kernels & premise prefilter: JSONL/CSV row-scan throughput of the simd-scanned pipeline sources vs the exact stdlib decoders they replaced (bufio.Scanner+encoding/json, encoding/csv), every decoded tuple compared before timing; and steady-state chase latency with the compiled program's premise prefilter on vs off at growing rule counts over dirty inputs, parity-gated against Engine.ChaseLegacy, with the observed rule skip rate",
 		"generated_at": time.Now().UTC().Format(time.RFC3339),
-		"kernel":       scanRows[0].Kernel,
 		"scan_tuples":  scanTuples,
 		"rule_counts":  ruleCounts,
 		"master_size":  masterSize,

@@ -77,7 +77,6 @@ import (
 	"cerfix/internal/guard"
 	"cerfix/internal/jobs"
 	"cerfix/internal/server"
-	"cerfix/internal/simd"
 )
 
 func main() {
@@ -233,11 +232,6 @@ func main() {
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
-	}
-	if ov := simd.Override(); ov != "" {
-		log.Printf("cerfixd: simd kernels: %s (CERFIX_KERNELS=%s)", simd.Active(), ov)
-	} else {
-		log.Printf("cerfixd: simd kernels: %s", simd.Active())
 	}
 	log.Printf("cerfixd: serving on %s (input %s, master %s, %d rules, %d master tuples)",
 		*addr, sys.InputSchema().Name(), sys.MasterSchema().Name(),

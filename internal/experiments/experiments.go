@@ -35,7 +35,6 @@ import (
 	"cerfix/internal/region"
 	"cerfix/internal/rule"
 	"cerfix/internal/schema"
-	"cerfix/internal/simd"
 	"cerfix/internal/storage"
 	"cerfix/internal/value"
 )
@@ -1630,8 +1629,6 @@ func RunE12(sizes []int, probes int, seed uint64) ([]E12Row, error) {
 type E13ScanRow struct {
 	// Format is "jsonl" or "csv".
 	Format string `json:"format"`
-	// Kernel is the simd dispatch table in effect (simd.Active()).
-	Kernel string `json:"kernel"`
 	// MegaBytes is the input size; Tuples the row count.
 	MegaBytes float64 `json:"megabytes"`
 	Tuples    int     `json:"tuples"`
@@ -1813,7 +1810,6 @@ func RunE13(scanTuples int, ruleCounts []int, masterSize, probes int, seed uint6
 		}
 		row := E13ScanRow{
 			Format:    c.format,
-			Kernel:    simd.Active(),
 			MegaBytes: float64(len(c.input)) / 1e6,
 			Tuples:    len(wantVals),
 		}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -236,56 +238,78 @@ func TestJobPermanentErrorNoRetry(t *testing.T) {
 }
 
 // TestJournalCorruptionQuarantine pins restart integrity checking: a
-// job.json whose payload no longer matches its checksum is set aside
-// as <id>.corrupt — visible in stats, preserved on disk, never run.
+// job.json that is not a checksum-valid envelope is set aside as
+// <id>.corrupt — visible in stats, preserved on disk, never run — and
+// the logged cause names what failed.
 func TestJournalCorruptionQuarantine(t *testing.T) {
-	eng, dirty, validated := testWorkload(t, 20, 10)
-	dirty = dirty[:2]
-	dir := t.TempDir()
-	m, err := Open(faultConfig(dir, eng, nil))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name      string
+		old, new  string
+		wantCause string
+	}{
+		// Bytes flipped inside the checksummed payload (still valid
+		// JSON, so only the CRC can catch it).
+		{"payload", `"done"`, `"dead"`, "journal checksum mismatch"},
+		// A damaged "job" key leaves a well-formed object with no job
+		// record in it: the envelope check, not the ID check, rejects it.
+		{"job key", `"job":`, `"jab":`, "journal envelope has no job record"},
 	}
-	j, err := submitTuples(m, validated, dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := waitTerminal(t, m, j.ID); got.State != StateDone {
-		t.Fatalf("job ended %s", got.State)
-	}
-	if err := m.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, dirty, validated := testWorkload(t, 20, 10)
+			dirty = dirty[:2]
+			dir := t.TempDir()
+			m, err := Open(faultConfig(dir, eng, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, err := submitTuples(m, validated, dirty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := waitTerminal(t, m, j.ID); got.State != StateDone {
+				t.Fatalf("job ended %s", got.State)
+			}
+			if err := m.Close(context.Background()); err != nil {
+				t.Fatal(err)
+			}
 
-	// Flip bytes inside the checksummed payload (still valid JSON, so
-	// only the CRC can catch it).
-	journal := filepath.Join(dir, j.ID, "job.json")
-	data, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := bytes.Replace(data, []byte(`"done"`), []byte(`"dead"`), 1)
-	if bytes.Equal(bad, data) {
-		t.Fatalf("journal %s does not contain the expected state literal", data)
-	}
-	if err := os.WriteFile(journal, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			journal := filepath.Join(dir, j.ID, "job.json")
+			data, err := os.ReadFile(journal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := bytes.Replace(data, []byte(tc.old), []byte(tc.new), 1)
+			if bytes.Equal(bad, data) {
+				t.Fatalf("journal %s does not contain %s", data, tc.old)
+			}
+			if err := os.WriteFile(journal, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	m2, err := Open(faultConfig(dir, eng, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close(context.Background())
-	if q := m2.Stats().Quarantined; q != 1 {
-		t.Fatalf("quarantined = %d, want 1", q)
-	}
-	if _, err := m2.Get(j.ID); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("corrupt job still listed: %v", err)
-	}
-	qdir := filepath.Join(dir, j.ID+".corrupt")
-	if _, err := os.Stat(filepath.Join(qdir, "job.json")); err != nil {
-		t.Fatalf("quarantine did not preserve the directory: %v", err)
+			var logs bytes.Buffer
+			prev := log.Writer()
+			log.SetOutput(&logs)
+			m2, err := Open(faultConfig(dir, eng, nil))
+			log.SetOutput(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m2.Close(context.Background())
+			if q := m2.Stats().Quarantined; q != 1 {
+				t.Fatalf("quarantined = %d, want 1", q)
+			}
+			if !strings.Contains(logs.String(), tc.wantCause) {
+				t.Fatalf("quarantine log %q does not name the cause %q", logs.String(), tc.wantCause)
+			}
+			if _, err := m2.Get(j.ID); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("corrupt job still listed: %v", err)
+			}
+			qdir := filepath.Join(dir, j.ID+".corrupt")
+			if _, err := os.Stat(filepath.Join(qdir, "job.json")); err != nil {
+				t.Fatalf("quarantine did not preserve the directory: %v", err)
+			}
+		})
 	}
 }
 

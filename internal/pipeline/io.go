@@ -73,7 +73,7 @@ func (s *SliceSink) Write(r *Result) error {
 // mapped by name, matching storage.Table.ReadCSV's contract.
 //
 // Decoding no longer walks bytes through encoding/csv's rune machinery
-// row by row: lines come out of a buffered window via simd.IndexByte
+// row by row: lines come out of a buffered window via bytes.IndexByte
 // and a quote-free line — the common shape — is sliced into fields on
 // its commas with one allocation, the immutable backing string of the
 // row (the same economy encoding/csv's recordBuffer gives, minus its
@@ -162,7 +162,7 @@ func (s *CSVSource) fastLine() (line []byte, tookOver bool, err error) {
 			return nil, false, err
 		}
 		s.physLine++
-		if simd.IndexByte(raw, '"') >= 0 {
+		if bytes.IndexByte(raw, '"') >= 0 {
 			s.takeover(raw)
 			return nil, true, nil
 		}
@@ -240,7 +240,7 @@ func (s *CSVSource) Next() (*schema.Tuple, error) {
 }
 
 // parseRecord slices a quote-free line into the reused tuple: one
-// backing-string allocation, commas found with simd.IndexByte. A
+// backing-string allocation, commas found with bytes.IndexByte. A
 // field-count violation builds the same csv.ParseError the
 // encoding/csv path reports, down to the line numbers.
 func (s *CSVSource) parseRecord(line []byte) (*schema.Tuple, error) {
@@ -249,7 +249,7 @@ func (s *CSVSource) parseRecord(line []byte) (*schema.Tuple, error) {
 	col, off := 0, 0
 	for {
 		end := len(backing)
-		rel := simd.IndexByte(line[off:], ',')
+		rel := bytes.IndexByte(line[off:], ',')
 		if rel >= 0 {
 			end = off + rel
 		}
@@ -312,8 +312,8 @@ func (s *CSVSink) Flush() error {
 // out of the line window with one allocation per line (the immutable
 // backing string of the decoded values, the same economy encoding/csv
 // uses). Lines are sliced out of the input and value bytes classified
-// in 8-byte-or-wider steps by the simd kernels (IndexByte for
-// newlines, ScanJSON for quote/escape/control/non-ASCII bytes), so
+// in 8-byte-or-wider steps (bytes.IndexByte for newlines,
+// simd.ScanJSON for quote/escape/control/non-ASCII bytes), so
 // clean runs copy in bulk instead of byte at a time. Anything beyond
 // the plain shape — escape sequences, non-string values, invalid
 // UTF-8, malformed lines, unknown attributes — falls back to

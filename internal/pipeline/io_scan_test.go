@@ -12,7 +12,6 @@ import (
 	"testing/iotest"
 
 	"cerfix/internal/schema"
-	"cerfix/internal/simd"
 	"cerfix/internal/value"
 )
 
@@ -22,7 +21,8 @@ import (
 // fields, escapes, multi-byte UTF-8 straddling 8-byte word
 // boundaries, blank lines, torn final lines, wrong field counts,
 // oversized lines) and across chunked readers that force every
-// lineReader refill path. Both kernel tables run.
+// lineReader refill path. Every suite runs twice, once per line
+// ending (see lineEndings).
 
 // refJSONLNext is the reference JSONL decoder: bufio.Scanner +
 // encoding/json, the exact shape JSONLSource had before its fast path
@@ -167,15 +167,19 @@ func scanSchema(t *testing.T) *schema.Schema {
 	return sch
 }
 
-func withKernels(t *testing.T, f func(t *testing.T)) {
+// lineEndings runs f twice: "native" on each input exactly as
+// written, "portable" on the same input with every LF rewritten as
+// CRLF, the line ending of files written on Windows. Both decoders
+// must agree on either, at every refill boundary the readers force,
+// including a '\r' and its '\n' landing in different refills.
+func lineEndings(t *testing.T, f func(t *testing.T, ending func(string) string)) {
 	t.Helper()
-	defer simd.Reset()
-	for _, k := range []string{simd.KernelPortable, simd.KernelNative} {
-		if err := simd.Select(k); err != nil {
-			t.Fatal(err)
-		}
-		t.Run(k, f)
-	}
+	t.Run("native", func(t *testing.T) {
+		f(t, func(s string) string { return s })
+	})
+	t.Run("portable", func(t *testing.T) {
+		f(t, func(s string) string { return strings.ReplaceAll(s, "\n", "\r\n") })
+	})
 }
 
 func TestJSONLSourceDifferentialCurated(t *testing.T) {
@@ -209,9 +213,9 @@ func TestJSONLSourceDifferentialCurated(t *testing.T) {
 		strings.Repeat(`{"a":"r","b":"s","c":"t"}`+"\n", 500),
 		`{"a":"` + strings.Repeat("long", 50000) + `","b":"2","c":"3"}` + "\n", // 200 KB value
 	}
-	withKernels(t, func(t *testing.T) {
+	lineEndings(t, func(t *testing.T, ending func(string) string) {
 		for i, in := range inputs {
-			for rname, mk := range readers(in) {
+			for rname, mk := range readers(ending(in)) {
 				drainCompare(t, fmt.Sprintf("input %d reader %s", i, rname),
 					NewJSONLSource(sch, mk()), newRefJSONL(sch, mk()))
 			}
@@ -223,8 +227,8 @@ func TestJSONLSourceTooLong(t *testing.T) {
 	sch := scanSchema(t)
 	// One line over the 1 MiB cap: both decoders report
 	// bufio.ErrTooLong bare.
-	in := `{"a":"` + strings.Repeat("x", 1<<20) + `","b":"2","c":"3"}` + "\n"
-	withKernels(t, func(t *testing.T) {
+	lineEndings(t, func(t *testing.T, ending func(string) string) {
+		in := ending(`{"a":"` + strings.Repeat("x", 1<<20) + `","b":"2","c":"3"}` + "\n")
 		drainCompareUntilErr(t, "toolong", NewJSONLSource(sch, strings.NewReader(in)), newRefJSONL(sch, strings.NewReader(in)))
 	})
 }
@@ -294,9 +298,8 @@ func TestJSONLSourceDifferentialRandom(t *testing.T) {
 			}
 		}
 	}
-	in := b.String()
-	withKernels(t, func(t *testing.T) {
-		for rname, mk := range readers(in) {
+	lineEndings(t, func(t *testing.T, ending func(string) string) {
+		for rname, mk := range readers(ending(b.String())) {
 			drainCompare(t, "random/"+rname, NewJSONLSource(sch, mk()), newRefJSONL(sch, mk()))
 		}
 	})
@@ -352,8 +355,9 @@ func TestCSVSourceDifferentialCurated(t *testing.T) {
 		"a,b,c\n" + strings.Repeat("1,2,3\n", 500),
 		"a,b,c\n1,2," + strings.Repeat("w", 200000) + "\n", // long line forces window growth
 	}
-	withKernels(t, func(t *testing.T) {
+	lineEndings(t, func(t *testing.T, ending func(string) string) {
 		for i, in := range inputs {
+			in = ending(in)
 			for rname, mk := range readers(in) {
 				label := fmt.Sprintf("input %d reader %s", i, rname)
 				got, want, ok := csvPair(t, label, sch, in, mk)
@@ -418,8 +422,8 @@ func TestCSVSourceDifferentialRandom(t *testing.T) {
 			b.WriteByte('\n')
 		}
 	}
-	in := b.String()
-	withKernels(t, func(t *testing.T) {
+	lineEndings(t, func(t *testing.T, ending func(string) string) {
+		in := ending(b.String())
 		for rname, mk := range readers(in) {
 			label := "random/" + rname
 			got, want, ok := csvPair(t, label, sch, in, mk)

@@ -420,6 +420,15 @@ func Run(ctx context.Context, eng *core.Engine, validated schema.AttrSet, src So
 	pending := 0
 	next := 0
 	emit := func(b *batch) bool {
+		// The watcher goroutine observes cancellation asynchronously;
+		// checking here too stops emission (and the admission tokens it
+		// frees) as soon as cancel returns, within one batch.
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				fail(err)
+				return false
+			}
+		}
 		for i := 0; i < b.n; i++ {
 			r := &b.results[i]
 			stats.Tuples++
@@ -464,6 +473,10 @@ loop:
 				break loop
 			}
 		}
+	}
+	// A failed emit leaves the loop early; drain until the workers
+	// have all exited (done is closed, so none blocks) before returning.
+	for range results {
 	}
 	// Seal the error slot before reading it: every in-pipeline failure
 	// is already ordered before this point (fail → close(done) →

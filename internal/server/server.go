@@ -29,7 +29,6 @@ import (
 	"cerfix/internal/jobs"
 	"cerfix/internal/master"
 	"cerfix/internal/monitor"
-	"cerfix/internal/simd"
 )
 
 // Server wraps a cerfix.System with HTTP session state and the
@@ -202,8 +201,7 @@ type statusResponse struct {
 	// columnar-packed rows, snapshot-shared bytes and COW debt, rule
 	// indexes, interning dictionary.
 	Memory *master.MemStats `json:"memory,omitempty"`
-	// Kernels reports the simd dispatch table in effect and the chase
-	// prefilter's lifetime effectiveness.
+	// Kernels reports the chase prefilter's lifetime effectiveness.
 	Kernels kernelStatus `json:"kernels"`
 	// Persistence reports where the instance was loaded from and the
 	// live durability health (absent for in-memory systems with no
@@ -228,12 +226,8 @@ type persistenceStatus struct {
 	Health *faultfs.HealthStatus `json:"health,omitempty"`
 }
 
-// kernelStatus reports which simd dispatch table the process selected
-// (simd.Active: "amd64", "portable", ...) and whether a CERFIX_KERNELS
-// override forced it, plus the compiled chase's prefilter totals.
+// kernelStatus holds the compiled chase's prefilter totals.
 type kernelStatus struct {
-	Active    string          `json:"active"`
-	Override  string          `json:"override,omitempty"`
 	Prefilter prefilterStatus `json:"prefilter"`
 }
 
@@ -299,8 +293,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Jobs:         qs,
 		Memory:       &mem,
 		Kernels: kernelStatus{
-			Active:   simd.Active(),
-			Override: simd.Override(),
 			Prefilter: prefilterStatus{
 				RulesSkipped:   skipped,
 				RulesEvaluated: evaluated,

@@ -121,7 +121,7 @@ func (d *Dict) Stats() DictStats {
 // readers concurrently with one writer.
 func (d *Dict) Lookup(s string) (Sym, bool) {
 	t := d.table.Load()
-	h := fnvString(s) & t.mask
+	h := simd.Hash(s) & t.mask
 	for {
 		v := t.slots[h].Load()
 		if v == 0 {
@@ -209,7 +209,7 @@ func (d *Dict) Intern(s string) Sym {
 	if (d.n.Load()+1)*2 > uint32(len(t.slots)) {
 		t = d.growTable(t)
 	}
-	h := fnvString(s) & t.mask
+	h := simd.Hash(s) & t.mask
 	for t.slots[h].Load() != 0 {
 		h = (h + 1) & t.mask
 	}
@@ -241,7 +241,7 @@ func (d *Dict) growTable(t *symTable) *symTable {
 		}
 		sym := Sym(v - 1)
 		s := pages[sym>>symPageBits][sym&symPageMask]
-		h := fnvString(s) & nt.mask
+		h := simd.Hash(s) & nt.mask
 		for nt.slots[h].Load() != 0 {
 			h = (h + 1) & nt.mask
 		}
@@ -270,8 +270,3 @@ func (d *Dict) Compare(a, b Sym, dom Domain) int {
 func AppendSym(dst []byte, s Sym) []byte {
 	return append(dst, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
 }
-
-// fnvString is FNV-1a over the string bytes via the simd kernel's
-// wide body — bit-identical to the scalar definition, so table slots
-// never move when the kernel table changes.
-func fnvString(s string) uint32 { return simd.Hash(s) }

@@ -106,9 +106,8 @@ func schemaFromJSON(j schemaJSON) (*Schema, error) {
 // walFile is the append-only log name inside an instance directory.
 const walFile = "wal.jsonl"
 
-// walVersion is written in the header record of every new WAL; its
-// presence selects checksummed batch replay (v2) over the legacy
-// tolerant line-at-a-time replay.
+// walVersion is written in the header record of every new WAL; replay
+// accepts no log that does not open with it.
 const walVersion = 2
 
 // walRecord is one line of wal.jsonl. Ops:
@@ -514,9 +513,9 @@ type LoadInfo struct {
 	// WALTornTail is true when replay discarded an uncommitted tail —
 	// the expected residue of a crash mid-append, not corruption.
 	WALTornTail bool `json:"wal_torn_tail,omitempty"`
-	// WALCorrupt is true when a committed batch failed its checksum;
-	// replay stopped there and preserved the unapplied tail at
-	// WALQuarantine for inspection.
+	// WALCorrupt is true when a committed batch failed its checksum
+	// or the log did not open with the v2 header; replay stopped there
+	// and preserved the unapplied tail at WALQuarantine for inspection.
 	WALCorrupt    bool   `json:"wal_corrupt,omitempty"`
 	WALQuarantine string `json:"wal_quarantine,omitempty"`
 }
@@ -600,17 +599,15 @@ func loadDir(fsys faultfs.FS, dir string) (*System, error) {
 
 // replayWAL applies wal.jsonl on top of a freshly loaded checkpoint.
 //
-// v2 logs (header record {"op":"wal","v":2}) replay batch-at-a-time:
-// records buffer until their commit record's count and CRC32 validate,
-// then apply atomically. An uncommitted tail (crash mid-append) is
-// discarded whole and flagged WALTornTail; a committed batch that
-// fails its checksum is corruption — replay stops, the unapplied tail
-// is preserved at wal.jsonl.corrupt, and the load succeeds on the
-// verified prefix with WALCorrupt set.
-//
-// Logs without the header predate the batch format and replay with
-// the legacy tolerant rules: records apply eagerly, replay stops at
-// the first undecodable line, and a dangling cell id fails the load.
+// The log opens with the header record {"op":"wal","v":2} and replays
+// batch-at-a-time: records buffer until their commit record's count
+// and CRC32 validate, then apply atomically. An uncommitted tail
+// (crash mid-append) is discarded whole and flagged WALTornTail; a
+// committed batch that fails its checksum is corruption — replay
+// stops, the unapplied tail is preserved at wal.jsonl.corrupt, and the
+// load succeeds on the verified prefix with WALCorrupt set. A log
+// whose first complete record is not that header is corrupt from
+// offset 0: all of it is preserved and none of it applied.
 func (s *System) replayWAL(fsys faultfs.FS, path string, info *LoadInfo) error {
 	data, err := fsys.ReadFile(path)
 	if errors.Is(err, iofs.ErrNotExist) {
@@ -620,23 +617,7 @@ func (s *System) replayWAL(fsys faultfs.FS, path string, info *LoadInfo) error {
 		return fmt.Errorf("cerfix: wal: %w", err)
 	}
 	info.WALBytes = int64(len(data))
-	if walIsV2(data) {
-		return s.replayWALV2(fsys, path, data, info)
-	}
-	return s.replayWALLegacy(path, data, info)
-}
 
-// walIsV2 reports whether the log opens with the v2 header record.
-func walIsV2(data []byte) bool {
-	line := data
-	if i := bytes.IndexByte(data, '\n'); i >= 0 {
-		line = data[:i]
-	}
-	var rec walRecord
-	return json.Unmarshal(bytes.TrimSpace(line), &rec) == nil && rec.Op == "wal"
-}
-
-func (s *System) replayWALV2(fsys faultfs.FS, path string, data []byte, info *LoadInfo) error {
 	defs := make(map[value.Sym]value.V)
 	arity := s.store.Schema().Len()
 	vals := make(value.List, arity)
@@ -666,15 +647,23 @@ func (s *System) replayWALV2(fsys faultfs.FS, path string, data []byte, info *Lo
 	for off < len(data) {
 		lineStart := off
 		var line []byte
+		terminated := false
 		if i := bytes.IndexByte(data[off:], '\n'); i >= 0 {
 			line = data[off : off+i]
 			off += i + 1
+			terminated = true
 		} else {
 			line = data[off:]
 			off = len(data)
 		}
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
+		}
+		// Damage quarantines from the start of the uncommitted batch it
+		// sits in, so every unapplied record lands in the .corrupt file.
+		at := batchStart
+		if at < 0 {
+			at = lineStart
 		}
 		var rec walRecord
 		if json.Unmarshal(line, &rec) != nil {
@@ -686,18 +675,23 @@ func (s *System) replayWALV2(fsys faultfs.FS, path string, data []byte, info *Lo
 				log.Printf("cerfix: wal %s: discarding uncommitted torn tail after %d records", path, info.WALRecords)
 				return nil
 			}
-			at := batchStart
-			if at < 0 {
-				at = lineStart
-			}
 			return corrupt(at, "undecodable record with data after it")
+		}
+		if !header {
+			if rec.Op == "wal" && rec.V == walVersion {
+				header = true
+				continue
+			}
+			if !terminated {
+				info.WALTornTail = true
+				log.Printf("cerfix: wal %s: discarding torn first record", path)
+				return nil
+			}
+			return corrupt(0, fmt.Sprintf("log does not open with a v%d header", walVersion))
 		}
 		switch rec.Op {
 		case "wal":
-			if header || lineStart != 0 {
-				return corrupt(lineStart, "stray header record")
-			}
-			header = true
+			return corrupt(at, "stray header record")
 		case "dict", "ins":
 			if batchStart < 0 {
 				batchStart = lineStart
@@ -712,10 +706,6 @@ func (s *System) replayWALV2(fsys faultfs.FS, path string, data []byte, info *Lo
 			}
 		case "commit":
 			if rec.N != count || rec.CRC != crc {
-				at := batchStart
-				if at < 0 {
-					at = lineStart
-				}
 				return corrupt(at, fmt.Sprintf("batch checksum mismatch (want n=%d crc=%08x, have n=%d crc=%08x)", rec.N, rec.CRC, count, crc))
 			}
 			for _, d := range pendingDefs {
@@ -744,10 +734,6 @@ func (s *System) replayWALV2(fsys faultfs.FS, path string, data []byte, info *Lo
 			pendingDefs, pendingRows = nil, nil
 			crc, count, batchStart = 0, 0, -1
 		default:
-			at := batchStart
-			if at < 0 {
-				at = lineStart
-			}
 			return corrupt(at, fmt.Sprintf("unknown op %q", rec.Op))
 		}
 	}
@@ -757,61 +743,6 @@ func (s *System) replayWALV2(fsys faultfs.FS, path string, data []byte, info *Lo
 		// this is a torn tail, not loss.
 		info.WALTornTail = true
 		log.Printf("cerfix: wal %s: discarding uncommitted batch of %d record(s) at tail", path, count)
-	}
-	return nil
-}
-
-// replayWALLegacy is the pre-checksum replay, kept for logs written
-// before the batch format: apply eagerly, stop at the first
-// undecodable line, fail on a dangling dictionary id.
-func (s *System) replayWALLegacy(path string, data []byte, info *LoadInfo) error {
-	defs := make(map[value.Sym]value.V)
-	arity := s.store.Schema().Len()
-	vals := make(value.List, arity)
-	for len(data) > 0 {
-		line := data
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			line, data = data[:i], data[i+1:]
-		} else {
-			data = nil
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var rec walRecord
-		if json.Unmarshal(line, &rec) != nil {
-			// Torn tail from a crashed append; everything before it
-			// was fsync'd and applied.
-			info.WALTornTail = true
-			log.Printf("cerfix: wal %s: ignoring torn tail after %d records", path, info.WALRecords)
-			return nil
-		}
-		switch rec.Op {
-		case "dict":
-			for _, d := range rec.Defs {
-				defs[d.ID] = value.V(d.S)
-			}
-		case "ins":
-			if len(rec.Cells) != arity {
-				return fmt.Errorf("cerfix: wal %s: row %d has %d cells, schema wants %d",
-					path, rec.Row, len(rec.Cells), arity)
-			}
-			for i, sym := range rec.Cells {
-				v, ok := defs[sym]
-				if !ok {
-					return fmt.Errorf("cerfix: wal %s: row %d references undefined dictionary id %d",
-						path, rec.Row, sym)
-				}
-				vals[i] = v
-			}
-			if _, err := s.store.InsertValues(vals...); err != nil {
-				return fmt.Errorf("cerfix: wal %s: row %d: %w", path, rec.Row, err)
-			}
-			info.WALRows++
-		default:
-			return fmt.Errorf("cerfix: wal %s: unknown op %q", path, rec.Op)
-		}
-		info.WALRecords++
 	}
 	return nil
 }

@@ -186,68 +186,122 @@ func TestWALTornTailTolerated(t *testing.T) {
 	}
 }
 
-// Real corruption — a committed batch whose bytes no longer match its
-// commit checksum — must not be silently absorbed: replay stops at the
-// first bad checksum (later batches stay unapplied even if they look
-// valid), the unapplied tail is preserved for inspection, the load
-// succeeds on the verified prefix, and the provenance reports it.
+// Real corruption must not be silently absorbed: replay stops at the
+// first damage (later batches stay unapplied even if they look valid),
+// the unapplied tail is preserved for inspection, the load succeeds on
+// the verified prefix, and the provenance reports it — as corruption,
+// never as a torn tail. A log that does not open with the v2 header is
+// corrupt from its first byte, so all of it is preserved.
 func TestWALCorruptBatchQuarantined(t *testing.T) {
-	sys := demoSystem(t)
-	dir := filepath.Join(t.TempDir(), "instance")
-	if err := sys.Save(dir); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		// damage returns the damaged log; intact holds two committed
+		// batches of one row each.
+		damage func(t *testing.T, intact []byte) []byte
+		// wholeLog: the quarantine must be the entire damaged log, not
+		// just a suffix from the first bad batch.
+		wholeLog bool
+	}{
+		{
+			// Flip a byte inside the first batch: bump the informational
+			// row id of the first ins record. The line stays valid JSON,
+			// so only the commit checksum can catch the damage.
+			name: "batch checksum",
+			damage: func(t *testing.T, intact []byte) []byte {
+				i := bytes.Index(intact, []byte(`"row":`))
+				if i < 0 {
+					t.Fatalf("no ins record in WAL:\n%s", intact)
+				}
+				bad := append([]byte{}, intact...)
+				digit := &bad[i+len(`"row":`)]
+				if *digit == '9' {
+					*digit = '0'
+				} else {
+					*digit++
+				}
+				return bad
+			},
+		},
+		{
+			// One damaged byte at offset 0 turns the header line into an
+			// undecodable record with committed batches after it.
+			name: "damaged header",
+			damage: func(t *testing.T, intact []byte) []byte {
+				bad := append([]byte{}, intact...)
+				bad[0] = 'x'
+				return bad
+			},
+			wholeLog: true,
+		},
+		{
+			// The pre-v2 record shape: dict and ins lines with no header
+			// and no commit records.
+			name: "pre-v2 log",
+			damage: func(t *testing.T, intact []byte) []byte {
+				var bad []byte
+				for _, line := range bytes.SplitAfter(intact, []byte("\n")) {
+					if !bytes.Contains(line, []byte(`"op":"wal"`)) && !bytes.Contains(line, []byte(`"op":"commit"`)) {
+						bad = append(bad, line...)
+					}
+				}
+				if !bytes.Contains(bad, []byte(`"op":"ins"`)) {
+					t.Fatalf("no ins record in WAL:\n%s", intact)
+				}
+				return bad
+			},
+			wholeLog: true,
+		},
 	}
-	baseRows := sys.Master().Len()
-	if err := sys.AddMasterRow("Walter", "White", "505", "1", "2", "3", "4", "NM 87104", "07/09/58", "M"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.AddMasterRow("Jesse", "Pinkman", "505", "1", "2", "3", "4", "NM 87104", "24/09/84", "M"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Save(dir); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := demoSystem(t)
+			dir := filepath.Join(t.TempDir(), "instance")
+			if err := sys.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+			baseRows := sys.Master().Len()
+			if err := sys.AddMasterRow("Walter", "White", "505", "1", "2", "3", "4", "NM 87104", "07/09/58", "M"); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.AddMasterRow("Jesse", "Pinkman", "505", "1", "2", "3", "4", "NM 87104", "24/09/84", "M"); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Save(dir); err != nil {
+				t.Fatal(err)
+			}
 
-	walPath := filepath.Join(dir, walFile)
-	intact := readFileT(t, walPath)
-	// Flip a byte inside the first batch: bump the informational row id
-	// of the first ins record. The line stays valid JSON, so only the
-	// commit checksum can catch the damage.
-	i := bytes.Index(intact, []byte(`"row":`))
-	if i < 0 {
-		t.Fatalf("no ins record in WAL:\n%s", intact)
-	}
-	bad := append([]byte{}, intact...)
-	digit := &bad[i+len(`"row":`)]
-	if *digit == '9' {
-		*digit = '0'
-	} else {
-		*digit++
-	}
-	if err := os.WriteFile(walPath, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			walPath := filepath.Join(dir, walFile)
+			bad := tc.damage(t, readFileT(t, walPath))
+			if err := os.WriteFile(walPath, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	loaded, err := Load(dir)
-	if err != nil {
-		t.Fatalf("corrupt batch failed the load instead of quarantining: %v", err)
-	}
-	// Both batches are unapplied: the first is corrupt, the second is
-	// beyond the first bad checksum.
-	if loaded.Master().Len() != baseRows {
-		t.Fatalf("corrupt replay got %d rows, want %d", loaded.Master().Len(), baseRows)
-	}
-	info := loaded.LoadInfo()
-	if !info.WALCorrupt || info.WALQuarantine == "" || info.WALRows != 0 {
-		t.Fatalf("corruption not reported: %+v", info)
-	}
-	// The unapplied tail is preserved byte-for-byte for inspection.
-	q := readFileT(t, info.WALQuarantine)
-	if !bytes.Contains(q, []byte(`"op":"commit"`)) || !bytes.HasSuffix(bad, q) {
-		t.Fatalf("quarantined tail is not the unapplied suffix (%d bytes)", len(q))
+			loaded, err := Load(dir)
+			if err != nil {
+				t.Fatalf("corrupt log failed the load instead of quarantining: %v", err)
+			}
+			// Both batches are unapplied: the first is damaged, the
+			// second is beyond the first damage.
+			if loaded.Master().Len() != baseRows {
+				t.Fatalf("corrupt replay got %d rows, want %d", loaded.Master().Len(), baseRows)
+			}
+			info := loaded.LoadInfo()
+			if !info.WALCorrupt || info.WALQuarantine == "" || info.WALRows != 0 || info.WALTornTail {
+				t.Fatalf("corruption not reported: %+v", info)
+			}
+			// The unapplied tail is preserved byte-for-byte for inspection.
+			q := readFileT(t, info.WALQuarantine)
+			if tc.wholeLog {
+				if !bytes.Equal(q, bad) {
+					t.Fatalf("quarantine holds %d of the log's %d bytes, want all of it", len(q), len(bad))
+				}
+			} else if !bytes.Contains(q, []byte(`"op":"commit"`)) || !bytes.HasSuffix(bad, q) {
+				t.Fatalf("quarantined tail is not the unapplied suffix (%d bytes)", len(q))
+			}
+		})
 	}
 }
 
