@@ -182,12 +182,12 @@ func runE13(scanTuples int, ruleSpec string, masterSize, probes int, seed uint64
 	}
 	fmt.Print(st.String())
 	fmt.Println()
-	fmt.Println("premise prefilter — chase ns/fix with the prefilter on vs off (legacy-oracle parity-gated)")
-	ct := textutil.NewTextTable("rules", "mode", "master entities", "off ns/fix", "on ns/fix", "speedup", "skipped", "evaluated", "skip rate")
+	fmt.Println("premise prefilter — chase ns/fix with the prefilter on vs off (legacy-oracle parity-gated; medians and speedup range over interleaved repeats)")
+	ct := textutil.NewTextTable("rules", "mode", "master entities", "off ns/fix", "on ns/fix", "speedup", "min-max", "skipped", "evaluated", "skip rate")
 	for _, r := range chaseRows {
 		ct.AddRow(fmt.Sprint(r.Rules), r.Mode, fmt.Sprint(r.MasterSize),
 			fmt.Sprintf("%.0f", r.BaselineNsPerFix), fmt.Sprintf("%.0f", r.PrefilterNsPerFix),
-			fmt.Sprintf("%.2fx", r.Speedup),
+			fmt.Sprintf("%.2fx", r.Speedup), fmt.Sprintf("%.2f-%.2fx", r.SpeedupMin, r.SpeedupMax),
 			fmt.Sprint(r.RulesSkipped), fmt.Sprint(r.RulesEvaluated),
 			fmt.Sprintf("%.1f%%", r.SkipRate*100))
 	}
@@ -197,7 +197,7 @@ func runE13(scanTuples int, ruleSpec string, masterSize, probes int, seed uint64
 	}
 	doc := map[string]any{
 		"experiment":   "e13",
-		"description":  "simd kernels & premise prefilter: JSONL/CSV row-scan throughput of the simd-scanned pipeline sources vs the exact stdlib decoders they replaced (bufio.Scanner+encoding/json, encoding/csv), every decoded tuple compared before timing; and steady-state chase latency with the compiled program's premise prefilter on vs off at growing rule counts over dirty inputs, parity-gated against Engine.ChaseLegacy, with the observed rule skip rate",
+		"description":  "simd kernels & premise prefilter: JSONL/CSV row-scan throughput of the simd-scanned pipeline sources vs the exact stdlib decoders they replaced (bufio.Scanner+encoding/json, encoding/csv), every decoded tuple compared before timing; and steady-state chase latency with the compiled program's premise prefilter on vs off at growing rule counts over dirty inputs, parity-gated against Engine.ChaseLegacy, with the observed rule skip rate; each prefilter row's best-of-N measurement repeats (repeats) times interleaved with the other rows, reporting median ns and the median, min and max speedup",
 		"generated_at": time.Now().UTC().Format(time.RFC3339),
 		"scan_tuples":  scanTuples,
 		"rule_counts":  ruleCounts,

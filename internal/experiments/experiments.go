@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"time"
 
 	"cerfix"
@@ -1655,11 +1656,17 @@ type E13ChaseRow struct {
 	// relation scan.
 	Mode string `json:"mode"`
 	// BaselineNsPerFix times the prefilter-off chase (the pre-PR
-	// agenda), PrefilterNsPerFix the prefilter-on chase.
+	// agenda), PrefilterNsPerFix the prefilter-on chase: each the
+	// median over Repeats best-of-N measurements.
 	BaselineNsPerFix  float64 `json:"baseline_ns_per_fix"`
 	PrefilterNsPerFix float64 `json:"prefilter_ns_per_fix"`
-	// Speedup is BaselineNsPerFix / PrefilterNsPerFix.
-	Speedup float64 `json:"speedup"`
+	// Speedup is the median over Repeats of each repetition's
+	// baseline/prefilter ratio; SpeedupMin and SpeedupMax bound its
+	// spread, so one run shows whether a margin is real.
+	Speedup    float64 `json:"speedup"`
+	SpeedupMin float64 `json:"speedup_min"`
+	SpeedupMax float64 `json:"speedup_max"`
+	Repeats    int     `json:"repeats"`
 	// RulesSkipped/RulesEvaluated are the prefilter-on run's agenda
 	// counters; SkipRate = skipped / (skipped + evaluated).
 	RulesSkipped   int64   `json:"rules_skipped"`
@@ -1669,11 +1676,29 @@ type E13ChaseRow struct {
 
 // e13ScanPasses and e13ChasePasses are the best-of-N pass counts.
 // Scan passes are milliseconds, so N can be high; a forced-scan chase
-// pass is seconds, so N stays small.
+// pass is seconds, so N stays small. e13Repeats is how many times each
+// prefilter row's best-of-N measurement is repeated, interleaved with
+// the other rows, for its median and spread.
 const (
 	e13ScanPasses  = 10
 	e13ChasePasses = 5
+	e13Repeats     = 5
 )
+
+// medianOf returns the median of xs (the mean of the middle two for an
+// even count) without reordering xs.
+func medianOf(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	n := len(s)
+	if n == 0 {
+		return 0
+	}
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
 
 // decodeAll drains a tuple source, cloning values into out for the
 // parity gate (pass nil to just count).
@@ -1865,7 +1890,18 @@ func RunE13(scanTuples int, ruleCounts []int, masterSize, probes int, seed uint6
 	st := cw2.Store
 	inputs := cw2.Dirty
 
-	var chaseRows []E13ChaseRow
+	// Every (rule count, mode) cell is parity-gated first; then the
+	// timed measurement repeats e13Repeats times, each repetition
+	// sweeping all cells in turn, so slow machine drift spreads over
+	// every row instead of loading whichever row it coincides with.
+	type chaseCell struct {
+		row         E13ChaseRow
+		mode        master.LookupMode
+		on, off     *core.Chaser
+		onNs, offNs []float64
+		speedups    []float64
+	}
+	var cells []*chaseCell
 	modes := []master.LookupMode{master.ModeRuleIndex, master.ModePlainIndex, master.ModeScan}
 	defer st.SetMode(master.ModeRuleIndex)
 	for _, nRules := range ruleCounts {
@@ -1893,47 +1929,56 @@ func RunE13(scanTuples int, ruleCounts []int, masterSize, probes int, seed uint6
 					return nil, nil, fmt.Errorf("e13: prefilter-off chase diverges from legacy at %d rules (%s)", nRules, mode)
 				}
 			}
-			row := E13ChaseRow{Rules: nRules, MasterSize: masterSize, Mode: mode.String()}
-
-			// Best-of-N timing with the two configurations interleaved
-			// pass by pass: the minimum is robust to GC pauses, and
-			// interleaving keeps slow machine drift from loading one
-			// side of the comparison.
-			pass := func(c *core.Chaser) float64 {
-				runtime.GC()
-				start := time.Now()
-				for _, tu := range inputs {
-					c.ChaseScratch(tu, seedSet)
-				}
-				return float64(time.Since(start).Nanoseconds()) / float64(len(inputs))
-			}
-			// Counter deltas bracket the first prefiltered pass alone:
-			// the program-lifetime totals also tick during off passes
-			// (0 skips, full evaluations) and would dilute the rate.
+			c := &chaseCell{row: E13ChaseRow{Rules: nRules, MasterSize: masterSize, Mode: mode.String(), Repeats: e13Repeats},
+				mode: mode, on: on, off: off}
+			// Counter deltas bracket one prefiltered pass alone: the
+			// program-lifetime totals also tick during off passes (0
+			// skips, full evaluations) and would dilute the rate.
 			skip0, eval0 := eng.PrefilterStats()
-			bestOn := pass(on)
+			for _, tu := range inputs {
+				on.ChaseScratch(tu, seedSet)
+			}
 			skip1, eval1 := eng.PrefilterStats()
-			row.RulesSkipped = skip1 - skip0
-			row.RulesEvaluated = eval1 - eval0
-			if total := row.RulesSkipped + row.RulesEvaluated; total > 0 {
-				row.SkipRate = float64(row.RulesSkipped) / float64(total)
+			c.row.RulesSkipped = skip1 - skip0
+			c.row.RulesEvaluated = eval1 - eval0
+			if total := c.row.RulesSkipped + c.row.RulesEvaluated; total > 0 {
+				c.row.SkipRate = float64(c.row.RulesSkipped) / float64(total)
 			}
-			bestOff := pass(off)
-			for p := 1; p < e13ChasePasses; p++ {
-				if ns := pass(on); ns < bestOn {
-					bestOn = ns
-				}
-				if ns := pass(off); ns < bestOff {
-					bestOff = ns
-				}
-			}
-			row.PrefilterNsPerFix = bestOn
-			row.BaselineNsPerFix = bestOff
-			if row.PrefilterNsPerFix > 0 {
-				row.Speedup = row.BaselineNsPerFix / row.PrefilterNsPerFix
-			}
-			chaseRows = append(chaseRows, row)
+			cells = append(cells, c)
 		}
+	}
+	pass := func(c *core.Chaser) float64 {
+		runtime.GC()
+		start := time.Now()
+		for _, tu := range inputs {
+			c.ChaseScratch(tu, seedSet)
+		}
+		return float64(time.Since(start).Nanoseconds()) / float64(len(inputs))
+	}
+	for rep := 0; rep < e13Repeats; rep++ {
+		for _, c := range cells {
+			st.SetMode(c.mode)
+			// Best-of-N with the two configurations interleaved pass
+			// by pass: the minimum is robust to GC pauses, and
+			// interleaving keeps drift from loading one side.
+			bestOn, bestOff := math.Inf(1), math.Inf(1)
+			for p := 0; p < e13ChasePasses; p++ {
+				bestOn = min(bestOn, pass(c.on))
+				bestOff = min(bestOff, pass(c.off))
+			}
+			c.onNs = append(c.onNs, bestOn)
+			c.offNs = append(c.offNs, bestOff)
+			c.speedups = append(c.speedups, bestOff/bestOn)
+		}
+	}
+	chaseRows := make([]E13ChaseRow, len(cells))
+	for i, c := range cells {
+		c.row.PrefilterNsPerFix = medianOf(c.onNs)
+		c.row.BaselineNsPerFix = medianOf(c.offNs)
+		c.row.Speedup = medianOf(c.speedups)
+		c.row.SpeedupMin = slices.Min(c.speedups)
+		c.row.SpeedupMax = slices.Max(c.speedups)
+		chaseRows[i] = c.row
 	}
 	return scanRows, chaseRows, nil
 }

@@ -69,14 +69,29 @@ func NewMemMonitor(cfg MemConfig) *MemMonitor {
 
 // heapInUse reads the bytes occupied by live heap objects — the
 // runtime/metrics successor to MemStats.HeapAlloc, sampled without a
-// stop-the-world.
+// stop-the-world. That figure counts an object only once the span
+// holding it leaves its P's allocation cache, so before any span has
+// been flushed it reads 0 with hundreds of kilobytes live (a fresh
+// GOMAXPROCS=1 process does this). A zero reading falls back to the
+// bytes of in-use heap spans (objects + unused), which counts cached
+// spans too: an upper bound, and never zero once the heap exists.
 func heapInUse() uint64 {
-	s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-	metrics.Read(s)
-	if s[0].Value.Kind() == metrics.KindUint64 {
-		return s[0].Value.Uint64()
+	s := []metrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/memory/classes/heap/unused:bytes"},
 	}
-	return 0
+	metrics.Read(s)
+	var objects, unused uint64
+	if s[0].Value.Kind() == metrics.KindUint64 {
+		objects = s[0].Value.Uint64()
+	}
+	if s[1].Value.Kind() == metrics.KindUint64 {
+		unused = s[1].Value.Uint64()
+	}
+	if objects > 0 {
+		return objects
+	}
+	return objects + unused
 }
 
 // SetOnChange installs the transition hook (logging). Call before

@@ -24,9 +24,9 @@ import (
 // tests — a drift here would break the "async output equals sync
 // output" contract loudly.
 //
-// An encoder is bound to one schema and is not safe for concurrent
-// use; each job run and each HTTP request builds its own (two small
-// slices — nothing like the per-record cost it removes).
+// An encoder is bound to one schema and is immutable once built, so it
+// is safe for concurrent use: the HTTP server shares one across
+// requests, and each job run builds its own.
 type ResultEncoder struct {
 	sch      *schema.Schema
 	names    []string

@@ -106,3 +106,26 @@ func TestChaseIntoZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("warm ChaseInto allocates %v per 16-tuple batch, want 0", avg)
 	}
 }
+
+// TestRunSingleChunkAllocs pins the direct path's cost: a warm 1-tuple
+// Run — source construction included — allocates at most two objects,
+// and its sink runs with no stage goroutine alive beside the caller.
+func TestRunSingleChunkAllocs(t *testing.T) {
+	eng, dirty, seed := workloadEngine(t, 20, 8)
+	before := runtime.NumGoroutine()
+	sink := SinkFunc(func(*Result) error {
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("sink saw %d goroutines, %d before the run", n, before)
+		}
+		return nil
+	})
+	run := func() {
+		if _, err := Run(context.Background(), eng, seed, NewSliceSource(dirty[:1]), sink, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm: chaser pool, batch pool
+	if avg := testing.AllocsPerRun(200, run); avg > 2 {
+		t.Errorf("warm 1-tuple Run allocates %v objects, want ≤ 2", avg)
+	}
+}

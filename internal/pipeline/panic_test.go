@@ -105,3 +105,102 @@ func TestChaosStallReleasedByCancel(t *testing.T) {
 		t.Fatal("stalled run never drained after cancellation")
 	}
 }
+
+// singleChunkSizes are the inputs the caller's goroutine chases
+// directly: one tuple, and a full default chunk.
+var singleChunkSizes = []int{1, 16}
+
+// waitGoroutines fails t unless the goroutine count settles back to at
+// most before+2 within five seconds.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before+2 {
+		t.Fatalf("goroutines leaked: before %d, after %d", before, after)
+	}
+}
+
+// The direct path converts a chase panic into the same typed error a
+// worker goroutine reports.
+func TestWorkerPanicSingleChunk(t *testing.T) {
+	guard.SetChaos(true)
+	defer guard.SetChaos(false)
+
+	for _, n := range singleChunkSizes {
+		eng, tuples, validated := workloadEngine(t, 40, n)
+		tuples[n/2].Vals[0] = guard.ChaosPanicValue
+		before := runtime.NumGoroutine()
+		for round := 0; round < 3; round++ {
+			_, err := Run(context.Background(), eng, validated, NewSliceSource(tuples), Discard, &Options{Workers: 4})
+			var pe *guard.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("%d tuples, round %d: err = %v, want *guard.PanicError", n, round, err)
+			}
+			if pe.Where != "pipeline worker" || len(pe.Stack) == 0 {
+				t.Fatalf("%d tuples, round %d: PanicError = %+v", n, round, pe)
+			}
+		}
+		waitGoroutines(t, before)
+	}
+}
+
+// A sink panic on the direct path propagates to the caller.
+func TestSinkPanicSingleChunk(t *testing.T) {
+	for _, n := range singleChunkSizes {
+		eng, tuples, validated := workloadEngine(t, 40, n)
+		before := runtime.NumGoroutine()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%d tuples: sink panic did not propagate", n)
+				}
+			}()
+			sink := SinkFunc(func(r *Result) error {
+				if r.Seq == n-1 {
+					panic("sink exploded")
+				}
+				return nil
+			})
+			_, _ = Run(context.Background(), eng, validated, NewSliceSource(tuples), sink, &Options{Workers: 4})
+		}()
+		waitGoroutines(t, before)
+	}
+}
+
+// Cancellation on the direct path: a context cancelled before the run
+// admits nothing, and one cancelled while a tuple stalls in the chase
+// returns the context's error having written nothing.
+func TestStallCancelSingleChunk(t *testing.T) {
+	guard.SetChaos(true)
+	defer guard.SetChaos(false)
+
+	for _, n := range singleChunkSizes {
+		eng, tuples, validated := workloadEngine(t, 40, n)
+		written := 0
+		sink := SinkFunc(func(*Result) error { written++; return nil })
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		stats, err := Run(ctx, eng, validated, NewSliceSource(tuples), sink, nil)
+		if !errors.Is(err, context.Canceled) || stats.Tuples != 0 || written != 0 {
+			t.Fatalf("%d tuples, cancelled before: err = %v, %d tuples, %d written", n, err, stats.Tuples, written)
+		}
+
+		guard.ArmStalls(1)
+		tuples[n/2].Vals[0] = guard.ChaosStallValue
+		ctx, cancel = context.WithCancel(context.Background())
+		before := runtime.NumGoroutine()
+		go func() {
+			time.Sleep(30 * time.Millisecond)
+			cancel()
+		}()
+		stats, err = Run(ctx, eng, validated, NewSliceSource(tuples), sink, nil)
+		if !errors.Is(err, context.Canceled) || stats.Tuples != 0 || written != 0 {
+			t.Fatalf("%d tuples, cancelled mid-run: err = %v, %d tuples, %d written", n, err, stats.Tuples, written)
+		}
+		waitGoroutines(t, before)
+	}
+}

@@ -16,20 +16,33 @@
 // exactly the order — and exactly the bytes — the sequential path
 // would have produced.
 //
-// Memory stays flat regardless of input size, and in steady state the
-// run allocates O(window), not O(tuples): tuples, Result structs and
-// ChaseResults live in batch arenas that recycle through the in-flight
-// window (see the memory-model section below), the resequencer is a
-// ring buffer sized by that window, and an in-flight token cap bounds
-// how far the reader may run ahead of the slowest unfinished tuple, so
-// a slow sink (or one pathological tuple) stalls the source instead of
+// Memory stays flat regardless of input size, and a run allocates
+// O(min(tuples, window)) at most, nothing per tuple once warm: tuples,
+// Result structs and ChaseResults live in batch arenas that recycle
+// through the in-flight window and, across runs, through a process-wide
+// pool (see the memory-model section below), the resequencer is a ring
+// buffer sized by that window, and an in-flight token cap bounds how far
+// the reader may run ahead of the slowest unfinished tuple, so a slow
+// sink (or one pathological tuple) stalls the source instead of
 // ballooning the resequencing buffer.
+//
+// # The direct path
+//
+// Run reads the first chunk on the caller's goroutine. A source that
+// ends inside it — a point fix, a job of at most ChunkSize tuples — is
+// chased and sunk right there, with a pooled Chaser and the same chase
+// and emit code as the stages, and no goroutine, channel or ring is
+// made: such a run costs its chase plus a pool hit. A longer source
+// starts the reader → workers → resequencer stages with that chunk as
+// their first job.
 //
 // # Memory model
 //
 // One batch — up to ChunkSize consecutive tuples, their inputs,
 // Results and ChaseResults — is the unit of both work and memory. A
-// fixed set of batches (O(window/ChunkSize + workers)) cycles
+// run takes batches from a sync.Pool shared by all runs, making them
+// only as it fills them, up to O(window/ChunkSize + workers), and they
+// cycle
 //
 //	free pool → reader (fills inputs) → worker (chases into the
 //	batch's result slots) → resequencer (sinks in order) → free pool
@@ -38,10 +51,12 @@
 // between stages. Recycling piggybacks on the admission tokens: a
 // batch returns to the pool only after every one of its results has
 // been written and its tokens released, which is exactly when nothing
-// in the run can still reference it. The corollary is the package's
-// recycling contract: a *Result (its Input, Fixed and Chase included)
-// is valid only until Sink.Write returns — sinks that retain results
-// must Clone them (SliceSink does).
+// in the run can still reference it. A run that ends cleanly hands its
+// batches back to the cross-run pool with every value reference
+// cleared, so an idle arena pins no snapshot. The corollary is the
+// package's recycling contract: a *Result (its Input, Fixed and Chase
+// included) is valid only until Sink.Write returns — sinks that retain
+// results must Clone them (SliceSink does).
 //
 // Sources and sinks are small interfaces; CSV and JSONL streaming
 // implementations live in io.go, and slice-backed ones serve the HTTP
@@ -181,13 +196,14 @@ type Stats struct {
 
 // batch is one work unit AND its arena: up to ChunkSize consecutive
 // tuples with their input storage, Result structs and ChaseResults.
-// Batches are recycled through the free pool for the lifetime of one
-// Run; inner buffers (value slices, change/conflict capacity) warm up
-// on first use and persist across recycles, so a steady-state run
-// allocates nothing per tuple.
+// Batches are made on demand and recycled — within a run through its
+// free channel, across runs through batchPool; inner buffers (value
+// slices, change/conflict capacity) warm up on first use and persist
+// across recycles, so a steady-state run allocates nothing per tuple.
 type batch struct {
 	startSeq int
 	n        int
+	used     int                // slots written since the batch left the pool
 	in       []schema.Tuple     // inputs, copied from the source
 	results  []Result           // handed to the sink, slot i ↔ in[i]
 	chase    []core.ChaseResult // reusable chase outcomes, slot i ↔ in[i]
@@ -199,6 +215,96 @@ func newBatch(chunkSize int) *batch {
 		results: make([]Result, chunkSize),
 		chase:   make([]core.ChaseResult, chunkSize),
 	}
+}
+
+// push copies tu into the batch's next input slot: the source may
+// recycle tu on its next Next call; the value strings themselves are
+// immutable and shared.
+func (b *batch) push(tu *schema.Tuple) {
+	dst := &b.in[b.n]
+	dst.Schema = tu.Schema
+	dst.ID = tu.ID
+	dst.Vals = append(dst.Vals[:0], tu.Vals...)
+	b.n++
+	if b.n > b.used {
+		b.used = b.n
+	}
+}
+
+// batchPool carries idle batches across runs, so a run's arenas cost
+// a pool hit instead of an allocation once the process is warm.
+var batchPool sync.Pool
+
+// getBatch takes an empty batch of chunkSize slots from the pool, or
+// makes one.
+func getBatch(chunkSize int) *batch {
+	if b, _ := batchPool.Get().(*batch); b != nil && len(b.in) == chunkSize {
+		return b
+	}
+	return newBatch(chunkSize)
+}
+
+// putBatch clears every value reference the batch's used slots hold —
+// inputs, results, chased tuples, changes and conflicts, out to their
+// capacity — and parks it in the pool. The buffers keep their
+// capacity; only the references go, so a pooled arena never pins a
+// dead snapshot's strings or a finished run's source tuples.
+func putBatch(b *batch) {
+	for i := 0; i < b.used; i++ {
+		in := &b.in[i]
+		clear(in.Vals[:cap(in.Vals)])
+		in.Schema = nil
+		b.results[i] = Result{}
+		c := &b.chase[i]
+		if c.Tuple != nil {
+			clear(c.Tuple.Vals[:cap(c.Tuple.Vals)])
+			c.Tuple.Schema = nil
+		}
+		clear(c.Changes[:cap(c.Changes)])
+		clear(c.Conflicts[:cap(c.Conflicts)])
+	}
+	b.startSeq, b.n, b.used = 0, 0, 0
+	batchPool.Put(b)
+}
+
+// chaseBatch chases every tuple of b into b's own result slots, so the
+// chase allocates nothing once the arena is warm.
+func chaseBatch(ctx context.Context, ch *core.Chaser, b *batch, validated schema.AttrSet, chaos bool) {
+	for i := 0; i < b.n; i++ {
+		in := &b.in[i]
+		if chaos {
+			for _, v := range in.Vals {
+				guard.ChaosValue(ctx, string(v))
+			}
+		}
+		res := ch.ChaseInto(&b.chase[i], in, validated)
+		b.results[i] = Result{Seq: b.startSeq + i, Input: in, Fixed: res.Tuple, Chase: res}
+	}
+}
+
+// emitBatch feeds b's results to sink in order and tallies them into
+// stats. It first checks ctx, so a cancelled run writes nothing more.
+func emitBatch(ctx context.Context, b *batch, sink Sink, stats *Stats) error {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < b.n; i++ {
+		r := &b.results[i]
+		stats.Tuples++
+		if r.Chase.AllValidated() && len(r.Chase.Conflicts) == 0 {
+			stats.FullyValidated++
+		}
+		if len(r.Chase.Conflicts) > 0 {
+			stats.WithConflicts++
+		}
+		stats.CellsRewritten += r.Chase.RewriteCount()
+		if err := sink.Write(r); err != nil {
+			return fmt.Errorf("pipeline: writing tuple %d: %w", r.Seq, err)
+		}
+	}
+	return nil
 }
 
 // testWorkerHook, when non-nil, runs in each worker after a batch is
@@ -214,6 +320,12 @@ var testWorkerHook func(startSeq int)
 // (core.Engine.Snapshot). Output is byte-identical to calling
 // eng.Chase per tuple sequentially.
 //
+// The caller's goroutine reads the first chunk. A source that ends
+// inside it is chased and sunk right there — no goroutine, no channel
+// — so a point fix pays for one tuple, not for the batch engine;
+// otherwise the reader → workers → resequencer stages start with that
+// chunk as their first job.
+//
 // Cancelling ctx aborts the run: the reader stops admitting tuples,
 // workers drain, and Run returns the partial Stats accumulated so far
 // together with ctx's error. Because every stage parks inside the
@@ -221,8 +333,96 @@ var testWorkerHook func(startSeq int)
 // window's worth of tuples — it never deadlocks on a full channel.
 func Run(ctx context.Context, eng *core.Engine, validated schema.AttrSet, src Source, sink Sink, opts *Options) (Stats, error) {
 	workers := opts.workers()
+	if ctx != nil {
+		// A context cancelled before the run starts aborts
+		// synchronously — no tuple is admitted on scheduling luck.
+		if err := ctx.Err(); err != nil {
+			return Stats{Workers: workers}, err
+		}
+	}
 	chunkSize := opts.chunkSize()
-	window := opts.window(workers)
+	first := getBatch(chunkSize)
+	more, err := readFirst(src, first)
+	if err != nil {
+		return Stats{Workers: workers}, err
+	}
+	if more == nil {
+		return runDirect(ctx, eng, validated, first, sink, workers)
+	}
+	return runStages(ctx, eng, validated, src, sink, workers, chunkSize, opts.window(workers), first, more)
+}
+
+// readFirst fills b with the stream's first chunk. When the stream
+// goes on past it, the tuple that opens the second chunk is read too
+// and returned in a fresh batch (the source may recycle it on the next
+// Next call); a nil batch means the stream ended inside the first
+// chunk.
+func readFirst(src Source, b *batch) (more *batch, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = guard.NewPanicError("pipeline reader", p, debug.Stack())
+		}
+	}()
+	for {
+		tu, err := src.Next()
+		if err == io.EOF {
+			return nil, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: reading tuple %d: %w", b.n, err)
+		}
+		if b.n == len(b.in) {
+			more = getBatch(len(b.in))
+			more.startSeq = b.n
+			more.push(tu)
+			return more, nil
+		}
+		b.push(tu)
+	}
+}
+
+// runDirect chases a run that fits one chunk on the caller's
+// goroutine, with a pooled chaser and the stages' own chase and emit
+// code, so its results and Stats are those of the staged path.
+func runDirect(ctx context.Context, eng *core.Engine, validated schema.AttrSet, b *batch, sink Sink, workers int) (Stats, error) {
+	stats := Stats{Workers: workers}
+	if b.n > 0 {
+		if err := chaseDirect(ctx, eng, b, validated); err != nil {
+			return stats, err
+		}
+	}
+	// A sink panic unwinds from here to the caller; with no stage to
+	// release, the batch is simply dropped.
+	if err := emitBatch(ctx, b, sink, &stats); err != nil {
+		return stats, err
+	}
+	putBatch(b)
+	return stats, nil
+}
+
+// chaseDirect is the direct path's worker: a chase panic becomes the
+// same typed error a worker goroutine reports, and the chaser is
+// abandoned, not released — its mid-chase scratch can't be trusted
+// back into the pool.
+func chaseDirect(ctx context.Context, eng *core.Engine, b *batch, validated schema.AttrSet) (err error) {
+	ch := eng.AcquireChaser()
+	defer func() {
+		if p := recover(); p != nil {
+			err = guard.NewPanicError("pipeline worker", p, debug.Stack())
+			return
+		}
+		ch.Release()
+	}()
+	chaseBatch(ctx, ch, b, validated, guard.ChaosEnabled())
+	return nil
+}
+
+// runStages runs the concurrent stages over a stream longer than one
+// chunk: first is the full first chunk, more holds the one tuple of
+// the second chunk already read, and the reader goroutine goes on from
+// there.
+func runStages(ctx context.Context, eng *core.Engine, validated schema.AttrSet, src Source, sink Sink,
+	workers, chunkSize, window int, first, more *batch) (Stats, error) {
 	if window < chunkSize {
 		// The reader acquires tokens before a chunk is flushed; a
 		// window smaller than one chunk could strand the oldest
@@ -234,10 +434,11 @@ func Run(ctx context.Context, eng *core.Engine, validated schema.AttrSet, src So
 	// chunk start positions span fewer than nChunks chunk indices —
 	// the resequencing ring's structural invariant.
 	nChunks := window/chunkSize + 1
-	// The arena population: enough batches for every stage to hold a
-	// full complement (jobs queue + results queue share nChunks of
+	// The arena population cap: enough batches for every stage to hold
+	// a full complement (jobs queue + results queue share nChunks of
 	// window, one per worker, one in the reader) without the free pool
-	// ever being the bottleneck in steady state.
+	// ever being the bottleneck in steady state. Batches are made on
+	// demand up to it, so a short run makes only what it fills.
 	nBatches := 2*nChunks + workers + 1
 
 	var (
@@ -249,9 +450,6 @@ func Run(ctx context.Context, eng *core.Engine, validated schema.AttrSet, src So
 		errOnce  sync.Once
 		runErr   error
 	)
-	for i := 0; i < nBatches; i++ {
-		free <- newBatch(chunkSize)
-	}
 	fail := func(err error) {
 		errOnce.Do(func() {
 			runErr = err
@@ -273,14 +471,6 @@ func Run(ctx context.Context, eng *core.Engine, validated schema.AttrSet, src So
 	// default) it costs one atomic load total, keeping the steady-state
 	// zero-alloc path untouched.
 	chaos := guard.ChaosEnabled()
-	if ctx != nil {
-		// A context cancelled before the run starts aborts
-		// synchronously — no tuple is admitted on the watcher's
-		// scheduling luck.
-		if err := ctx.Err(); err != nil {
-			return Stats{Workers: workers}, err
-		}
-	}
 	if ctx != nil && ctx.Done() != nil {
 		// Propagate external cancellation into the pipeline's own done
 		// channel; the watcher exits with the run.
@@ -296,6 +486,14 @@ func Run(ctx context.Context, eng *core.Engine, validated schema.AttrSet, src So
 		}()
 	}
 
+	// The first chunk is admitted and queued before any stage starts:
+	// window ≥ chunkSize tokens and nChunks ≥ 2 queue slots leave room
+	// for it, so neither send blocks.
+	for i := 0; i < first.n; i++ {
+		inflight <- struct{}{}
+	}
+	jobs <- first
+
 	// Stage 1 — reader: copy the stream into batch arenas, admitting
 	// at most window tuples past the resequencer's emit frontier. The
 	// current batch is grabbed from the free pool only when the next
@@ -308,9 +506,42 @@ func Run(ctx context.Context, eng *core.Engine, validated schema.AttrSet, src So
 				fail(guard.NewPanicError("pipeline reader", p, debug.Stack()))
 			}
 		}()
-		var cur *batch
-		seq := 0
+		created := 2 // first and more
+		nextFree := func() *batch {
+			select {
+			case b := <-free:
+				return b
+			default:
+			}
+			if created < nBatches {
+				created++
+				return getBatch(chunkSize)
+			}
+			select {
+			case b := <-free:
+				return b
+			case <-done:
+				return nil
+			}
+		}
+		// more's tuple was read before the stage started; admit it
+		// first.
+		cur := more
+		select {
+		case inflight <- struct{}{}:
+		case <-done:
+			return
+		}
+		seq := more.startSeq + more.n
 		for {
+			if cur != nil && cur.n >= chunkSize {
+				select {
+				case jobs <- cur:
+					cur = nil
+				case <-done:
+					return
+				}
+			}
 			tu, err := src.Next()
 			if err == io.EOF {
 				if cur != nil && cur.n > 0 {
@@ -331,37 +562,20 @@ func Run(ctx context.Context, eng *core.Engine, validated schema.AttrSet, src So
 				return
 			}
 			if cur == nil {
-				select {
-				case cur = <-free:
-					cur.startSeq = seq
-					cur.n = 0
-				case <-done:
+				if cur = nextFree(); cur == nil {
 					return
 				}
+				cur.startSeq = seq
+				cur.n = 0
 			}
-			// Copy into the arena: the source may recycle tu on the
-			// next Next call; the value strings themselves are
-			// immutable and shared.
-			dst := &cur.in[cur.n]
-			dst.Schema = tu.Schema
-			dst.ID = tu.ID
-			dst.Vals = append(dst.Vals[:0], tu.Vals...)
-			cur.n++
+			cur.push(tu)
 			seq++
-			if cur.n >= chunkSize {
-				select {
-				case jobs <- cur:
-					cur = nil
-				case <-done:
-					return
-				}
-			}
 		}
 	}()
 
 	// Stage 2 — sharded workers: each owns a pooled chaser against the
 	// shared read-only engine and chases into the batch's own result
-	// slots, so the chase allocates nothing once the arena is warm.
+	// slots.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -383,16 +597,7 @@ func Run(ctx context.Context, eng *core.Engine, validated schema.AttrSet, src So
 			}()
 			chaser = eng.AcquireChaser()
 			for b := range jobs {
-				for i := 0; i < b.n; i++ {
-					in := &b.in[i]
-					if chaos {
-						for _, v := range in.Vals {
-							guard.ChaosValue(ctx, string(v))
-						}
-					}
-					res := chaser.ChaseInto(&b.chase[i], in, validated)
-					b.results[i] = Result{Seq: b.startSeq + i, Input: in, Fixed: res.Tuple, Chase: res}
-				}
+				chaseBatch(ctx, chaser, b, validated, chaos)
 				if testWorkerHook != nil {
 					testWorkerHook(b.startSeq)
 				}
@@ -421,28 +626,14 @@ func Run(ctx context.Context, eng *core.Engine, validated schema.AttrSet, src So
 	next := 0
 	emit := func(b *batch) bool {
 		// The watcher goroutine observes cancellation asynchronously;
-		// checking here too stops emission (and the admission tokens it
-		// frees) as soon as cancel returns, within one batch.
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				fail(err)
-				return false
-			}
+		// emitBatch checks ctx too, which stops emission (and the
+		// admission tokens it frees) as soon as cancel returns, within
+		// one batch.
+		if err := emitBatch(ctx, b, sink, &stats); err != nil {
+			fail(err)
+			return false
 		}
 		for i := 0; i < b.n; i++ {
-			r := &b.results[i]
-			stats.Tuples++
-			if r.Chase.AllValidated() && len(r.Chase.Conflicts) == 0 {
-				stats.FullyValidated++
-			}
-			if len(r.Chase.Conflicts) > 0 {
-				stats.WithConflicts++
-			}
-			stats.CellsRewritten += r.Chase.RewriteCount()
-			if err := sink.Write(r); err != nil {
-				fail(fmt.Errorf("pipeline: writing tuple %d: %w", r.Seq, err))
-				return false
-			}
 			<-inflight
 		}
 		next = b.startSeq + b.n
@@ -486,11 +677,18 @@ loop:
 	// longer write.
 	errOnce.Do(func() {})
 	if runErr != nil {
+		// The reader may still hold or be taking batches; they are
+		// left to the collector rather than pooled.
 		return stats, runErr
 	}
 	if pending > 0 {
 		// Unreachable unless a worker died; keep the invariant loud.
 		return stats, errors.New("pipeline: results missing from resequencer")
+	}
+	// A clean end means the reader closed jobs and every batch came
+	// back through the resequencer: the free channel holds them all.
+	for len(free) > 0 {
+		putBatch(<-free)
 	}
 	return stats, nil
 }

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
-	"cerfix"
 	"cerfix/internal/jobs"
 	"cerfix/internal/pipeline"
 	"cerfix/internal/schema"
@@ -58,16 +58,19 @@ type batchResponse struct {
 
 func (s *Server) handleBatchFix(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req batchRequest
-	if err := decodeBody(r, &req); err != nil {
+	// The input schema is fixed for the system's lifetime, so the body
+	// decodes into its positions before the lock is taken.
+	input := s.sys.InputSchema()
+	req, err := decodeFixRequest(r, input, s.limits.MaxBody)
+	if err != nil {
 		writeDecodeErr(w, r, err)
 		return
 	}
-	if len(req.Validated) == 0 {
+	if len(req.validated) == 0 {
 		writeErr(w, r, http.StatusUnprocessableEntity, codeInvalidInput, fmt.Errorf("validated attribute list required"))
 		return
 	}
-	if len(req.Tuples) == 0 {
+	if req.count() == 0 {
 		writeErr(w, r, http.StatusUnprocessableEntity, codeInvalidInput, fmt.Errorf("no tuples"))
 		return
 	}
@@ -75,8 +78,7 @@ func (s *Server) handleBatchFix(w http.ResponseWriter, r *http.Request) {
 	// pins the engine pointer against rule-set swaps — then fix
 	// outside it.
 	s.mu.Lock()
-	input := s.sys.InputSchema()
-	for _, a := range req.Validated {
+	for _, a := range req.validated {
 		if !input.Has(a) {
 			s.mu.Unlock()
 			writeErr(w, r, http.StatusUnprocessableEntity, codeInvalidInput, fmt.Errorf("unknown attribute %q", a))
@@ -86,32 +88,31 @@ func (s *Server) handleBatchFix(w http.ResponseWriter, r *http.Request) {
 	eng := s.sys.SnapshotEngine()
 	s.mu.Unlock()
 
-	tuples := make([]*cerfix.Tuple, len(req.Tuples))
-	for i, tm := range req.Tuples {
-		tu, err := tupleFromMap(input, tm)
-		if err != nil {
-			writeErr(w, r, http.StatusUnprocessableEntity, codeInvalidInput, fmt.Errorf("tuple %d: %w", i, err))
-			return
-		}
-		tuples[i] = tu
+	tuples, err := req.inputTuples(input)
+	if err != nil {
+		writeErr(w, r, http.StatusUnprocessableEntity, codeInvalidInput, err)
+		return
 	}
 
 	// The response is rendered incrementally per result through the
 	// jobs ResultEncoder — byte-identical to writeJSON encoding a
 	// batchResponse (the regression test pins this), but honoring the
 	// pipeline's recycling contract: each result is serialized before
-	// Write returns, so the run allocates O(window) plus the response
-	// buffer instead of materializing a TupleResult per tuple.
-	seed := schema.SetOfNames(input, req.Validated...)
-	enc := jobs.NewResultEncoder(input)
-	buf := append(make([]byte, 0, 64*len(tuples)), `{"results":[`...)
+	// Write returns, so the run allocates nothing per tuple beyond the
+	// pooled response buffer's growth.
+	seed := schema.SetOfNames(input, req.validated...)
+	bp, _ := fixBufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	buf := append((*bp)[:0], `{"results":[`...)
 	first := true
 	sink := pipeline.SinkFunc(func(res *pipeline.Result) error {
 		if !first {
 			buf = append(buf, ',')
 		}
 		first = false
-		buf = enc.Append(buf, res)
+		buf = s.fixEnc.Append(buf, res)
 		return nil
 	})
 	stats, err := pipeline.Run(r.Context(), eng, seed, pipeline.NewSliceSource(tuples), sink, nil)
@@ -143,4 +144,12 @@ func (s *Server) handleBatchFix(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf)
+	if cap(buf) <= maxPooledBuf {
+		*bp = buf
+		fixBufs.Put(bp)
+	}
 }
+
+// fixBufs recycles POST /fix response buffers: Write copies the bytes
+// out, so the buffer is free again once it returns.
+var fixBufs sync.Pool

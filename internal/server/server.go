@@ -15,6 +15,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -73,6 +74,10 @@ type Server struct {
 	accessLog *log.Logger
 	errorLog  *log.Logger
 
+	// fixEnc renders POST /fix results; built once for the input
+	// schema, which never changes.
+	fixEnc *jobs.ResultEncoder
+
 	// syncFixHook, when set by tests, runs inside the sync-fix gate —
 	// the deterministic way to hold slots occupied or inject faults.
 	syncFixHook func()
@@ -84,6 +89,7 @@ func New(sys *cerfix.System) *Server {
 		sys:      sys,
 		sessions: make(map[int64]*monitor.Session),
 		idPrefix: newIDPrefix(),
+		fixEnc:   jobs.NewResultEncoder(sys.InputSchema()),
 	}
 }
 
@@ -142,7 +148,13 @@ func pageParams(r *http.Request, defLimit int) (limit, offset int, err error) {
 }
 
 func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+	return decodeJSON(r.Body, v)
+}
+
+// decodeJSON decodes one JSON value from body into v, rejecting
+// unknown fields.
+func decodeJSON(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
